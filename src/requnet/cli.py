@@ -93,6 +93,13 @@ def _inversion_nnz_bound(d, l):
     return (32 * l * l + 60 * l - 80) * d**3 + (40 * l * l - 44 * l - 112) * d**2
 
 
+def _inversion_nnz_exact(d, l):
+    """Exact nonzero count of inversion_network at dimension d, length l."""
+    if l == 1:
+        return 32 * d**2 - 2 * d
+    return (96 * l - 120) * d**3 + (12 * l + 20) * d**2 + (40 - 24 * l) * d
+
+
 # --------------------------------------------------------------------------
 # verification suites
 # --------------------------------------------------------------------------
@@ -301,6 +308,8 @@ def run_inversion_suite(seed, dim=8, eps=1e-3, delta=0.2, samples=20, grid=20):
     checks.append(_check("inversion-depth", abs(net.depth - (2 * plan.l + 1)), 0))
     bound = _inversion_nnz_bound(dim, plan.l) if plan.l >= 2 else rep.total_nnz
     checks.append(_check("inversion-weight-bound", rep.total_nnz - bound, 0))
+    exact_dev = abs(rep.total_nnz - _inversion_nnz_exact(dim, plan.l))
+    checks.append(_check("inversion-weight-exact", exact_dev, 0))
 
     worst = 0.0
     for _ in range(samples):

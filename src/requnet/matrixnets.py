@@ -11,6 +11,11 @@ dyadic powers A^(2^j), and the partial sums
 follow by composition.  For ||A||_2 <= 1 - delta the partial sum is within
 (1-delta)^(2^l)/delta of (I - A)^{-1}, which the length rule neumann_length
 drives below a requested epsilon.
+
+The inversion network evaluates the product with one shared squaring
+chain: it carries the state (P_k, Q_k) = (prod_{i<k} (A^(2^i) + I), A^(2^k))
+through l stages, each a product beside a squaring, so depth is 2l + 1
+and the nonzero count is linear in l, (96l - 120)d^3 + O(l d^2).
 """
 
 from __future__ import annotations
@@ -163,6 +168,19 @@ def _shift_by_identity(d):
     return affine_network(sp.eye(dd, format="csr"), vec(np.eye(d)))
 
 
+def _split(d, keep_q):
+    """Affine layer (vec P, vec Q) -> (vec P, vec(Q + I)), followed by a
+    second copy of vec Q when keep_q."""
+    dd = d * d
+    rows = [sp.eye(2 * dd, format="csr")]
+    if keep_q:
+        rows.append(sp.eye(dd, 2 * dd, k=dd, format="csr"))
+    A = sp.vstack(rows, format="csr")
+    b = np.zeros(A.shape[0])
+    b[dd : 2 * dd] = vec(np.eye(d))
+    return affine_network(A, b)
+
+
 def inversion_network(d, epsilon, delta):
     """Network mapping vec A -> approximately vec((I - A)^{-1}).
 
@@ -170,24 +188,35 @@ def inversion_network(d, epsilon, delta):
     prod_i (A^(2^i) + I), with l = neumann_length(epsilon, delta).l, so for
     every A with ||A||_2 <= 1 - delta the spectral-norm error is at most
     (1-delta)^(2^l)/delta <= epsilon.  Depth exactly 2l + 1.
+
+    For l >= 2 the network carries the state (vec P_k, vec Q_k), with
+    P_k = prod_{i<k} (A^(2^i) + I) and Q_k = A^(2^k), through l depth-2
+    stages joined by sparse_concat: the first maps vec A to (A + I, A^2),
+    each middle stage runs mult_network on (P_k, Q_k + I) beside
+    square_network on Q_k, and the last multiplies P_{l-1} (Q_{l-1} + I).
+    The middle stage is built once and reused.  Nonzeros, exactly:
+    (96l - 120)d^3 + (12l + 20)d^2 + (40 - 24l)d for l >= 2, and
+    32d^2 - 2d for l = 1.
     """
     if d < 1:
         raise InvalidArgument(f"need d >= 1, got {d}")
     l = neumann_length(epsilon, delta).l
-    dd = d * d
-    pi = _shift_by_identity(d)
-    for m in range(2, l + 1):
-        factor = sparse_concat(_shift_by_identity(d), power_network(d, m - 1))
-        pi = sparse_concat(mult_network(d, d, d), parallelize([pi, factor]))
-    fan_out = affine_network(
-        sp.vstack([sp.eye(dd, format="csr")] * l, format="csr"), np.zeros(l * dd)
-    )
-    net = concat(pi, fan_out)
     if l == 1:
-        # the single-factor case collapses to one affine layer; pad so the
-        # depth formula 2l + 1 holds uniformly
-        net = extend(net, 3)
-    return net
+        # the single factor A + I is one affine layer; pad so the depth
+        # formula 2l + 1 holds uniformly
+        return extend(_shift_by_identity(d), 3)
+    net = concat(
+        parallelize([_shift_by_identity(d), square_network(d)]), _duplicator(d * d)
+    )
+    stage = concat(
+        parallelize([mult_network(d, d, d), square_network(d)]),
+        _split(d, keep_q=True),
+    )
+    for _ in range(l - 2):
+        net = sparse_concat(stage, net)
+    net = sparse_concat(concat(mult_network(d, d, d), _split(d, keep_q=False)), net)
+    # l depth-2 stages give depth 2l; pad to 2l + 1 as in the l = 1 case
+    return extend(net, 2 * l + 1)
 
 
 def neumann_partial_sum_oracle(A, l):

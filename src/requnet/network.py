@@ -47,11 +47,21 @@ def _freeze(arr):
 
 
 def _as_csr(matrix):
+    """Read-only CSR form of `matrix` with sorted indices.  A CSR input is
+    shared only when it is already read-only and sorted; otherwise it is
+    copied, so the caller keeps a writable matrix of its own."""
     if sp.issparse(matrix):
         A = matrix.tocsr().astype(np.float64, copy=False)
     else:
         A = sp.csr_matrix(np.asarray(matrix, dtype=np.float64))
+    arrays = (A.data, A.indices, A.indptr)
+    if A is matrix and (
+        any(a.flags.writeable for a in arrays) or not A.has_sorted_indices
+    ):
+        A = A.copy()
     A.sort_indices()
+    for a in (A.data, A.indices, A.indptr):
+        _freeze(a)
     return A
 
 
@@ -60,7 +70,8 @@ class Network:
 
     A_k is N_k x N_{k-1} (CSR), b_k has length N_k.  Instances are
     validated on construction and safe to share across threads; all
-    evaluation is pure.
+    evaluation is pure.  The CSR arrays and biases are read-only, so
+    layers can be shared between networks.
     """
 
     __slots__ = ("layers", "input_dim", "output_dim")
@@ -122,24 +133,26 @@ def make_network(layers):
     """Validate and build a Network from (matrix, bias) pairs.
 
     Matrices may be dense arrays or scipy sparse; biases are 1-d vectors
-    whose length matches the matrix row count.  Sparse inputs are copied
-    so the caller cannot mutate the network afterwards.
+    whose length matches the matrix row count.  Writable inputs are
+    copied, so the caller cannot mutate the network afterwards.
     """
-    layers = list(layers)
-    if not layers:
-        raise EmptyNetwork("a network needs at least one layer")
-    return Network(
-        (A.copy() if sp.issparse(A) else A, b) for A, b in layers
-    )
+    return Network(layers)
+
+
+def _check_finite(x):
+    if not np.isfinite(x).all():
+        raise NonFiniteEntry("input contains NaN or infinite entries")
 
 
 def realize(net, x):
-    """Evaluate the network: sigma2 after every layer except the last."""
+    """Evaluate the network: sigma2 after every layer except the last.
+    Raises NonFiniteEntry on NaN or infinite inputs."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or x.shape[0] != net.input_dim:
         raise DimensionMismatch(
             f"input length {x.shape} does not match input_dim {net.input_dim}"
         )
+    _check_finite(x)
     last = len(net.layers) - 1
     for k, (A, b) in enumerate(net.layers):
         x = A @ x + b
@@ -155,12 +168,14 @@ def realize_batch(net, X, chunk=None):
     large network on a parameter grid.  When `chunk` is given the columns
     are processed at most `chunk` at a time, which bounds the working-set
     size at (widest layer) x chunk doubles regardless of the sample count.
+    Raises NonFiniteEntry on NaN or infinite inputs.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] != net.input_dim:
         raise DimensionMismatch(
             f"batch shape {X.shape} does not match input_dim {net.input_dim}"
         )
+    _check_finite(X)
     if chunk is not None and X.shape[1] > chunk:
         blocks = [
             realize_batch(net, X[:, j : j + chunk])

@@ -51,6 +51,18 @@ def test_verify_inversion_quick_reports_bounds():
     assert "neumann-tail-bound" in checks
 
 
+def test_verify_inversion_exact_weight_count(tmp_path):
+    # eps 0.5 at delta 0.9 is the single-factor case l = 1; 1e-3 at 0.2 is l = 6
+    for eps, delta in [("0.5", "0.9"), ("1e-3", "0.2")]:
+        out = tmp_path / f"inv-{eps}.json"
+        argv = ["verify", "--suite", "inversion", "--seed", "7", "--quick", "--dim", "3"]
+        assert main(argv + ["--eps", eps, "--delta", delta, "--out", str(out)]) == 0
+        checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+        assert checks["inversion-weight-exact"]["measured"] == 0
+        assert checks["inversion-weight-exact"]["pass"] is True
+        assert "inversion-weight-bound" in checks
+
+
 def test_verify_all_writes_file(tmp_path):
     out = tmp_path / "report.json"
     proc = run_cli("verify", "--suite", "all", "--seed", "7", "--quick", "--out", str(out))

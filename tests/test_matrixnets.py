@@ -24,6 +24,7 @@ from requnet import (
     square_network,
     vec,
 )
+from requnet.cli import _inversion_nnz_exact
 
 rng = np.random.default_rng(4101)
 
@@ -353,6 +354,22 @@ def test_inversion_weight_polynomial():
         assert l >= 2
         bound = (32 * l**2 + 60 * l - 80) * d**3 + (40 * l**2 - 44 * l - 112) * d**2
         assert complexity(inversion_network(d, eps, delta)).total_nnz <= bound
+
+
+def test_inversion_weight_exact_linear_in_l():
+    # at delta = 1/2 and eps = 2^(2 - 3 * 2^(l-2)), log2(1/(delta*eps)) + 1
+    # = 3 * 2^(l-2) lies in (2^(l-1), 2^l], so the length rule selects l
+    cases = [(1, 0.5, 0.9)] + [(l, 2.0 ** (2 - 3 * 2 ** (l - 2)), 0.5) for l in range(2, 10)]
+    for l, eps, delta in cases:
+        assert neumann_length(eps, delta).l == l
+        for d in range(1, 7):
+            if l == 1:
+                want = 32 * d**2 - 2 * d
+            else:
+                want = (96 * l - 120) * d**3 + (12 * l + 20) * d**2 + (40 - 24 * l) * d
+            rep = complexity(inversion_network(d, eps, delta))
+            assert rep.total_nnz == want == _inversion_nnz_exact(d, l)
+            assert rep.depth == 2 * l + 1
 
 
 def test_inversion_rejects_bad_dim():

@@ -78,6 +78,48 @@ def test_network_is_immutable():
         net.layers[0][1][0] = 5.0
 
 
+def test_layer_weights_are_read_only():
+    net = make_network([(sp.random(4, 3, density=0.7, random_state=5), np.ones(4))])
+    x = rng.uniform(-1, 1, 3)
+    before = realize(net, x)
+    A = net.layers[0][0]
+    for arr in (A.data, A.indices, A.indptr):
+        with pytest.raises(ValueError):
+            arr[0] = 99
+    assert (realize(net, x) == before).all()
+
+
+def test_direct_constructor_leaves_caller_matrix_writable():
+    A = sp.csr_matrix(np.array([[2.0, 0.0], [0.0, 3.0]]))
+    net = Network([(A, np.zeros(2))])
+    A.data[0] = 99.0
+    np.testing.assert_array_equal(realize(net, [1.0, 1.0]), [2.0, 3.0])
+
+
+def test_network_shares_read_only_layers():
+    net = mult_network(2, 2, 2)
+    again = Network(net.layers)
+    assert all(a[0] is b[0] for a, b in zip(net.layers, again.layers))
+
+
+def test_realize_rejects_non_finite_input():
+    net = make_network([(np.eye(2), np.zeros(2))])
+    for bad in ([np.nan, 1.0], [1.0, np.inf], [-np.inf, 0.0]):
+        with pytest.raises(NonFiniteEntry):
+            realize(net, bad)
+
+
+def test_realize_batch_rejects_non_finite_input():
+    net = make_network([(np.eye(2), np.zeros(2))])
+    X = np.zeros((2, 5))
+    X[1, 3] = np.nan
+    with pytest.raises(NonFiniteEntry):
+        realize_batch(net, X)
+    X[1, 3] = -np.inf
+    with pytest.raises(NonFiniteEntry):
+        realize_batch(net, X, chunk=2)
+
+
 def test_realize_affine_last_layer():
     net = make_network([(np.array([[2.0]]), np.array([1.0]))])
     np.testing.assert_array_equal(realize(net, [3.0]), [7.0])
