@@ -17,7 +17,6 @@ import json
 import sys
 
 import numpy as np
-import scipy.sparse as sp
 
 from .calculus import (
     affine_network,

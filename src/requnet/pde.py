@@ -90,7 +90,7 @@ class ReducedBasis:
     that makes I - lam*B a contraction, delta = lam*beta its margin.
     truncation_sup is the largest G-norm projection residual among the
     snapshots dropped during orthonormalization (None when the basis was
-    loaded from disk and the build-time value is unknown).
+    loaded from a document that does not record it).
     """
 
     V: np.ndarray
@@ -282,6 +282,11 @@ def solve_high_fidelity(sys, y):
     return u
 
 
+def _g_norm(G, v):
+    """G-norm sqrt(v^T G v) of one vector; rounding below zero reads as 0."""
+    return np.sqrt(max(float(v @ (G @ v)), 0.0))
+
+
 def build_reduced_basis(sys, snapshot_params, drop_tol=1e-8):
     """Snapshot solves plus modified Gram-Schmidt in the G-inner product.
 
@@ -304,9 +309,7 @@ def build_reduced_basis(sys, snapshot_params, drop_tol=1e-8):
 
     G = sys.G
     snapshots = [solve_high_fidelity(sys, y) for y in params]
-    scale = max(
-        np.sqrt(max(float(u @ (G @ u)), 0.0)) for u in snapshots
-    )
+    scale = max(_g_norm(G, u) for u in snapshots)
 
     basis = []
     g_basis = []
@@ -316,7 +319,7 @@ def build_reduced_basis(sys, snapshot_params, drop_tol=1e-8):
         for _ in range(2):
             for vi, wi in zip(basis, g_basis):
                 v = v - (wi @ v) * vi
-        norm = np.sqrt(max(float(v @ (G @ v)), 0.0))
+        norm = _g_norm(G, v)
         if norm < drop_tol * scale or norm == 0.0:
             truncation_sup = max(truncation_sup, norm)
             continue
@@ -449,26 +452,40 @@ def solution_network(rb, epsilon, C_f):
     return rb_net, h_net
 
 
-def _gram_cholesky(G):
-    dense = G.toarray() if sp.issparse(G) else np.asarray(G, dtype=np.float64)
+def _check_gram(G):
+    """Raise SingularSystem unless the symmetric G is positive definite.
+
+    Sparse LU with diagonal pivots only: G is positive definite exactly
+    when every pivot is positive and none had to be swapped for an
+    off-diagonal one (a zero diagonal pivot means a singular leading
+    block).  SuperLU reports a zero column as exactly singular.
+    """
     try:
-        return np.linalg.cholesky(dense)
-    except np.linalg.LinAlgError as exc:
+        lu = spla.splu(
+            sp.csc_matrix(G), diag_pivot_thresh=0.0, options={"SymmetricMode": True}
+        )
+    except RuntimeError as exc:
         raise SingularSystem(f"Gram matrix is not positive definite: {exc}") from exc
+    if not ((lu.perm_r == lu.perm_c).all() and (lu.U.diagonal() > 0).all()):
+        raise SingularSystem("Gram matrix is not positive definite")
 
 
 _MODES = ("euclidean-rb", "g-norm-h", "relative-g")
+_EVAL_CHUNK = 16
 
 
-def evaluate_error(rb, net, test_params, G, mode, target_eps=None, outputs=None, chunk=16):
+def evaluate_error(rb, net, test_params, G, mode, target_eps=None, outputs=None):
     """Per-parameter error of a solution network against reduced_solve.
 
     Modes: "euclidean-rb" compares a reduced-output network with the
     reduced solution in the Euclidean norm; "g-norm-h" and "relative-g"
     compare a high-fidelity-output network with the lifted solution V u
-    in the G-norm (absolute resp. relative), via the Cholesky factor of
-    G.  `outputs` may carry precomputed network outputs (one column per
-    parameter) to avoid re-evaluating the same network across modes.
+    in the G-norm (absolute resp. relative).  G-norms are computed as
+    sqrt(e^T G e) with the sparse G; a G that is not positive definite
+    (indefinite or singular) raises SingularSystem, checked by a sparse
+    LU factorization.  `outputs` may carry precomputed network outputs
+    (one column per parameter) to avoid re-evaluating the same network
+    across modes.
     """
     if mode not in _MODES:
         raise InvalidArgument(f"mode must be one of {_MODES}, got {mode!r}")
@@ -491,7 +508,7 @@ def evaluate_error(rb, net, test_params, G, mode, target_eps=None, outputs=None,
 
     u_rb = np.column_stack([reduced_solve(rb, y) for y in params])
     if outputs is None:
-        outputs = realize_batch(net, params.T, chunk=chunk)
+        outputs = realize_batch(net, params.T, chunk=_EVAL_CHUNK)
     outputs = np.asarray(outputs, dtype=np.float64)
     if outputs.shape != (expected_out, params.shape[0]):
         raise DimensionMismatch(
@@ -503,15 +520,13 @@ def evaluate_error(rb, net, test_params, G, mode, target_eps=None, outputs=None,
         err_euclid = np.linalg.norm(u_rb - outputs, axis=0)
         errors = err_euclid
     else:
-        L = _gram_cholesky(G)
+        _check_gram(G)
         lifted = rb.V @ u_rb
-        diff = L.T @ (lifted - outputs)
-        errors = np.linalg.norm(diff, axis=0)
+        errors = np.array([_g_norm(G, e) for e in (lifted - outputs).T])
         if mode == "g-norm-h":
             err_g = errors
         else:
-            denom = np.linalg.norm(L.T @ lifted, axis=0)
-            errors = errors / denom
+            errors = errors / np.array([_g_norm(G, u) for u in lifted.T])
             err_rel = errors
     return ErrorReport(
         params=params,
@@ -560,6 +575,7 @@ def save_reduced_network(path, net, rb):
         "f_rb": rb.f_rb.tolist(),
         "alpha": rb.alpha,
         "beta": rb.beta,
+        "truncation_sup": rb.truncation_sup,
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
@@ -576,6 +592,8 @@ def load_reduced_network(path):
     alpha = float(payload["alpha"])
     beta = float(payload["beta"])
     lam = 1.0 / (alpha + beta)
+    # Documents written before truncation_sup was stored load with None.
+    truncation_sup = payload.get("truncation_sup")
     rb = ReducedBasis(
         V=V,
         d=V.shape[1],
@@ -585,6 +603,6 @@ def load_reduced_network(path):
         beta=beta,
         lam=lam,
         delta=lam * beta,
-        truncation_sup=None,
+        truncation_sup=None if truncation_sup is None else float(truncation_sup),
     )
     return net, rb

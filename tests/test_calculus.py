@@ -167,6 +167,19 @@ def test_identity_exact_on_unrestricted_range():
             assert rel_err(realize(net, x), x) < 1e-10
 
 
+@settings(derandomize=True, max_examples=200)
+@given(
+    st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+    st.integers(min_value=1, max_value=10),
+)
+def test_identity_forward_error_bound(x, L):
+    # Exact in real arithmetic; in floating point each gadget squares
+    # x +- 1, so the absolute error grows like the unit roundoff times
+    # (|x| + 1)^2 per layer.
+    y = realize(identity_network(1, L), [x])[0]
+    assert abs(y - x) <= L * 2.0**-53 * (abs(x) + 1.0) ** 2
+
+
 def test_identity_rejects_bad_arguments():
     with pytest.raises(InvalidArgument):
         identity_network(0, 2)

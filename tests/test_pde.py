@@ -4,14 +4,17 @@ the composed solution-map network, and error reporting."""
 
 import csv
 import dataclasses
+import json
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from requnet import (
     DimensionMismatch,
     EmptySnapshotSet,
     InvalidArgument,
+    SingularSystem,
     assemble_affine_system,
     assemble_load,
     b_network,
@@ -452,6 +455,64 @@ def test_evaluate_error_validation(sys9, rb9):
         evaluate_error(rb9, rb_net, np.zeros((2, 3)), sys9.G, "euclidean-rb")
 
 
+def test_evaluate_error_g_norms_match_cholesky_oracle(sys9, rb9):
+    params = np.random.default_rng(131).uniform(0, 1, (6, 4))
+    lifted = rb9.V @ np.column_stack([reduced_solve(rb9, y) for y in params])
+    outs = lifted + np.random.default_rng(132).normal(0.0, 1e-3, lifted.shape)
+    _, h_net = solution_network(rb9, 0.5, 1.01 * np.linalg.norm(rb9.f_rb))
+    L = np.linalg.cholesky(sys9.G.toarray())
+    want_abs = np.linalg.norm(L.T @ (lifted - outs), axis=0)
+    want_rel = want_abs / np.linalg.norm(L.T @ lifted, axis=0)
+    rep_abs = evaluate_error(rb9, h_net, params, sys9.G, "g-norm-h", outputs=outs)
+    rep_rel = evaluate_error(rb9, h_net, params, sys9.G, "relative-g", outputs=outs)
+    np.testing.assert_allclose(rep_abs.err_g_h, want_abs, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(rep_rel.err_rel_g, want_rel, rtol=1e-12, atol=0)
+
+
+def _not_positive_definite(G, kind):
+    D = G.shape[0]
+    if kind == "negated":
+        return -G
+    if kind == "indefinite":
+        return (G - sp.identity(D)).tocsr()
+    if kind == "singular":
+        keep = sp.diags(np.r_[np.ones(5), 0.0, np.ones(D - 6)])
+        return (keep @ G @ keep).tocsr()
+    # Indefinite with a zero diagonal entry, so a diagonal pivot vanishes.
+    swap = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    return sp.block_diag([swap, sp.identity(D - 2)], format="csr")
+
+
+@pytest.mark.parametrize("mode", ["g-norm-h", "relative-g"])
+@pytest.mark.parametrize("kind", ["negated", "indefinite", "singular", "zero-diagonal"])
+def test_evaluate_error_rejects_gram_not_positive_definite(sys9, rb9, mode, kind):
+    params = np.random.default_rng(141).uniform(0, 1, (3, 4))
+    lifted = rb9.V @ np.column_stack([reduced_solve(rb9, y) for y in params])
+    _, h_net = solution_network(rb9, 0.5, 1.01 * np.linalg.norm(rb9.f_rb))
+    bad = _not_positive_definite(sys9.G, kind)
+    with pytest.raises(SingularSystem):
+        evaluate_error(rb9, h_net, params, bad, mode, outputs=0.5 * lifted)
+
+
+class _NoDenseCSR(sp.csr_matrix):
+    def toarray(self, *args, **kwargs):
+        raise AssertionError("G was densified")
+
+    def todense(self, *args, **kwargs):
+        raise AssertionError("G was densified")
+
+
+def test_evaluate_error_never_densifies_gram(sys9, rb9):
+    params = np.random.default_rng(151).uniform(0, 1, (3, 4))
+    lifted = rb9.V @ np.column_stack([reduced_solve(rb9, y) for y in params])
+    _, h_net = solution_network(rb9, 0.5, 1.01 * np.linalg.norm(rb9.f_rb))
+    G = _NoDenseCSR(sys9.G)
+    for mode in ["g-norm-h", "relative-g"]:
+        rep = evaluate_error(rb9, h_net, params, G, mode, outputs=0.5 * lifted)
+        ref = evaluate_error(rb9, h_net, params, sys9.G, mode, outputs=0.5 * lifted)
+        assert rep.worst_case == ref.worst_case > 0.0
+
+
 # ----------------------------------------------------------------------- IO
 
 
@@ -486,6 +547,24 @@ def test_save_load_reduced_round_trip(tmp_path):
     assert (rb2.f_rb == rb.f_rb).all()
     assert rb2.alpha == rb.alpha and rb2.beta == rb.beta
     assert rb2.lam == 1.0 / (rb2.alpha + rb2.beta)
-    assert rb2.truncation_sup is None
+    assert rb2.truncation_sup == rb.truncation_sup
     for y in np.linspace(0, 1, 7):
         assert (realize(net2, [y]) == realize(rb_net, [y])).all()
+
+
+def test_load_reduced_network_without_truncation_sup(tmp_path, sys9):
+    rng = np.random.default_rng(303)
+    rb = build_reduced_basis(sys9, rng.uniform(0, 1, (8, 4)), drop_tol=0.5)
+    assert rb.truncation_sup > 0.0
+    path = tmp_path / "solution.json"
+    save_reduced_network(path, f_network(rb), rb)
+    assert load_reduced_network(path)[1].truncation_sup == rb.truncation_sup
+
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    del doc["reduced_basis"]["truncation_sup"]
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    net2, rb2 = load_reduced_network(path)
+    assert rb2.truncation_sup is None
+    assert (rb2.V == rb.V).all() and (rb2.f_rb == rb.f_rb).all()
