@@ -39,7 +39,7 @@ from .matrixnets import (
     square_network,
     vec,
 )
-from .network import complexity, make_network, realize, realize_batch, save_network
+from .network import Network, complexity, make_network, realize, realize_batch, requ, save_network
 from .pde import (
     assemble_affine_system,
     build_reduced_basis,
@@ -51,6 +51,7 @@ from .pde import (
 __all__ = ["main"]
 
 _INVERT_SEED = 414243
+_WIDTH_HI, _WEIGHT_HI = 5, 0.5  # width and weight caps of random test networks
 
 
 def _check(name, measured, bound):
@@ -70,14 +71,14 @@ def _rel_err(got, want):
     return float(np.max(np.abs(got - want)) / scale)
 
 
-def _random_net(rng, in_dim=None, depth=None, width_hi=5, weight_hi=0.5):
-    in_dim = in_dim or int(rng.integers(1, width_hi + 1))
+def _random_net(rng, in_dim=None, depth=None):
+    in_dim = in_dim or int(rng.integers(1, _WIDTH_HI + 1))
     depth = depth or int(rng.integers(1, 4))
-    dims = [in_dim] + [int(rng.integers(1, width_hi + 1)) for _ in range(depth)]
+    dims = [in_dim] + [int(rng.integers(1, _WIDTH_HI + 1)) for _ in range(depth)]
     layers = []
     for k in range(depth):
-        A = rng.uniform(-weight_hi, weight_hi, (dims[k + 1], dims[k]))
-        b = rng.uniform(-weight_hi, weight_hi, dims[k + 1])
+        A = rng.uniform(-_WEIGHT_HI, _WEIGHT_HI, (dims[k + 1], dims[k]))
+        b = rng.uniform(-_WEIGHT_HI, _WEIGHT_HI, dims[k + 1])
         layers.append((A, b))
     return make_network(layers)
 
@@ -88,7 +89,9 @@ def _contraction_sample(rng, d, delta):
 
 
 def _inversion_nnz_bound(d, l):
-    """Polynomial weight bound of the inversion construction (needs l >= 2)."""
+    """Polynomial weight bound of the inversion construction (exact at l = 1)."""
+    if l == 1:
+        return _inversion_nnz_exact(d, 1)
     return (32 * l * l + 60 * l - 80) * d**3 + (40 * l * l - 44 * l - 112) * d**2
 
 
@@ -305,7 +308,7 @@ def run_inversion_suite(seed, dim=8, eps=1e-3, delta=0.2, samples=20, grid=20):
     checks.append(_check("partial-sum-agreement", agree, 1e-10))
     checks.append(_check("inversion-spectral-error", spec_err, eps))
     checks.append(_check("inversion-depth", abs(net.depth - (2 * plan.l + 1)), 0))
-    bound = _inversion_nnz_bound(dim, plan.l) if plan.l >= 2 else rep.total_nnz
+    bound = _inversion_nnz_bound(dim, plan.l)
     checks.append(_check("inversion-weight-bound", rep.total_nnz - bound, 0))
     exact_dev = abs(rep.total_nnz - _inversion_nnz_exact(dim, plan.l))
     checks.append(_check("inversion-weight-exact", exact_dev, 0))
@@ -375,7 +378,7 @@ def cmd_invert(args):
     got = matr(realize(net, vec(A)), args.dim, args.dim)
     target = np.linalg.inv(np.eye(args.dim) - A)
     measured = float(np.linalg.norm(target - got, 2))
-    bound = _inversion_nnz_bound(args.dim, plan.l) if plan.l >= 2 else rep.total_nnz
+    bound = _inversion_nnz_bound(args.dim, plan.l)
     if args.save is not None:
         save_network(args.save, net)
     _write_json(
@@ -402,9 +405,7 @@ def cmd_complexity(args):
         for eps in args.eps:
             plan = neumann_length(eps, args.delta)
             rep = complexity(inversion_network(d, eps, args.delta))
-            bound = (
-                _inversion_nnz_bound(d, plan.l) if plan.l >= 2 else rep.total_nnz
-            )
+            bound = _inversion_nnz_bound(d, plan.l)
             rows.append([d, eps, plan.l, 2 * plan.l + 1, rep.total_nnz, int(bound)])
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write("d,eps,l,depth,nnz,bound\n")
@@ -426,8 +427,9 @@ def cmd_pde(args):
     rb_net, h_net = solution_network(rb, args.eps, C_f)
 
     test = rng.random((args.test, system.p))
-    outs_rb = realize_batch(rb_net, test.T, chunk=16)
-    outs_h = realize_batch(h_net, test.T, chunk=16)
+    shared = requ(realize_batch(Network(rb_net.layers[:-1]), test.T, chunk=16))
+    outs_rb = realize_batch(Network(rb_net.layers[-1:]), shared)
+    outs_h = realize_batch(Network(h_net.layers[-2:]), shared)
     rep_euclid = evaluate_error(
         rb, rb_net, test, system.G, "euclidean-rb", target_eps=args.eps, outputs=outs_rb
     )

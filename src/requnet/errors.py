@@ -19,7 +19,7 @@ class NonFiniteEntry(ValueError):
 
 
 class InvalidArgument(ValueError):
-    """A scalar argument is outside its documented domain."""
+    """A scalar argument or an input document is outside its documented domain."""
 
 
 class EmptyList(ValueError):

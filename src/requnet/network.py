@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DimensionMismatch, EmptyNetwork, NonFiniteEntry
+from .errors import DimensionMismatch, EmptyNetwork, InvalidArgument, NonFiniteEntry
 
 __all__ = [
     "Network",
@@ -139,11 +139,6 @@ def make_network(layers):
     return Network(layers)
 
 
-def _check_finite(x):
-    if not np.isfinite(x).all():
-        raise NonFiniteEntry("input contains NaN or infinite entries")
-
-
 def realize(net, x):
     """Evaluate the network: sigma2 after every layer except the last.
     Raises NonFiniteEntry on NaN or infinite inputs."""
@@ -152,20 +147,14 @@ def realize(net, x):
         raise DimensionMismatch(
             f"input length {x.shape} does not match input_dim {net.input_dim}"
         )
-    _check_finite(x)
-    last = len(net.layers) - 1
-    for k, (A, b) in enumerate(net.layers):
-        x = A @ x + b
-        if k != last:
-            x = requ(x)
-    return x
+    return realize_batch(net, x[:, None])[:, 0]
 
 
 def realize_batch(net, X, chunk=None):
     """Evaluate the network on each column of X (input_dim x n_samples).
 
-    Identical arithmetic to realize per column; useful when evaluating a
-    large network on a parameter grid.  When `chunk` is given the columns
+    realize is this on a single column; useful when evaluating a large
+    network on a parameter grid.  When `chunk` is given the columns
     are processed at most `chunk` at a time, which bounds the working-set
     size at (widest layer) x chunk doubles regardless of the sample count.
     Raises NonFiniteEntry on NaN or infinite inputs.
@@ -175,7 +164,8 @@ def realize_batch(net, X, chunk=None):
         raise DimensionMismatch(
             f"batch shape {X.shape} does not match input_dim {net.input_dim}"
         )
-    _check_finite(X)
+    if not np.isfinite(X).all():
+        raise NonFiniteEntry("input contains NaN or infinite entries")
     if chunk is not None and X.shape[1] > chunk:
         blocks = [
             realize_batch(net, X[:, j : j + chunk])
@@ -213,7 +203,9 @@ def _network_doc(net):
             {
                 "rows": int(A.shape[0]),
                 "cols": int(A.shape[1]),
-                "A": A.toarray().ravel(order="C").tolist(),
+                "data": A.data.tolist(),
+                "indices": A.indices.tolist(),
+                "indptr": A.indptr.tolist(),
                 "b": b.tolist(),
             }
             for A, b in net.layers
@@ -222,31 +214,42 @@ def _network_doc(net):
 
 
 def save_network(path, net):
-    """Write the network as JSON; floats use shortest round-trip decimals,
-    so save/load is bit-exact for finite doubles.
-
-    Matrices are written densely (row-major), so the format is meant for
-    desk-scale networks, not the large test-grid compositions.
-    """
+    """Write the network as JSON: each layer's CSR arrays (data, indices,
+    indptr) and bias.  Floats use shortest round-trip decimals, so save/load
+    is bit-exact for finite doubles and keeps the sparsity structure,
+    explicitly stored zeros included."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_network_doc(net), fh)
+        fh.write(json.dumps(_network_doc(net)))
+
+
+def _layer_from_doc(layer):
+    shape = (int(layer["rows"]), int(layer["cols"]))
+    b = np.asarray(layer["b"], dtype=np.float64)
+    if "A" in layer:  # dense row-major layout of files written before CSR
+        return np.asarray(layer["A"], dtype=np.float64).reshape(shape), b
+    index = [np.asarray(layer[key]) for key in ("indices", "indptr")]
+    if any(a.size and a.dtype.kind != "i" for a in index):
+        raise TypeError("CSR index arrays must hold integers")
+    A = sp.csr_matrix((np.asarray(layer["data"], dtype=np.float64), *index), shape)
+    # scipy's kernels trust the indices; out-of-range ones would read past x
+    A.check_format(full_check=True)
+    return A, b
 
 
 def _network_from_doc(doc):
-    layers = []
-    for layer in doc["layers"]:
-        rows, cols = int(layer["rows"]), int(layer["cols"])
-        A = np.asarray(layer["A"], dtype=np.float64).reshape(rows, cols)
-        b = np.asarray(layer["b"], dtype=np.float64)
-        layers.append((A, b))
+    try:
+        layers = [_layer_from_doc(layer) for layer in doc["layers"]]
+        input_dim = int(doc["input_dim"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InvalidArgument(f"malformed network document: {exc!r}") from exc
     net = make_network(layers)
-    if net.input_dim != int(doc["input_dim"]):
+    if net.input_dim != input_dim:
         raise DimensionMismatch("declared input_dim does not match first layer")
     return net
 
 
 def load_network(path):
-    """Read a network written by save_network."""
+    """Read a network written by save_network; older dense "A" layers load too."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     return _network_from_doc(doc)

@@ -432,6 +432,9 @@ def solution_network(rb, epsilon, C_f):
     at epsilon/(epsilon*beta + 2*C_f), so the reduced output stays within
     epsilon of reduced_solve (Euclidean), and the lifted output within
     epsilon in the G-norm by G-orthonormality of V.
+
+    h_net.layers[:-2] are the very (A, b) objects of rb_net.layers[:-1],
+    so one evaluation of that shared prefix serves both networks.
     """
     if not (np.isfinite(epsilon) and 0.0 < epsilon < 1.0):
         raise InvalidArgument(f"epsilon must lie in (0, 1), got {epsilon}")
@@ -578,7 +581,7 @@ def save_reduced_network(path, net, rb):
         "truncation_sup": rb.truncation_sup,
     }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
+        fh.write(json.dumps(doc))
 
 
 def load_reduced_network(path):
@@ -586,23 +589,25 @@ def load_reduced_network(path):
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     net = _network_from_doc(doc)
-    payload = doc["reduced_basis"]
-    V = np.asarray(payload["V"], dtype=np.float64)
-    theta = tuple(np.asarray(t, dtype=np.float64) for t in payload["theta"])
-    alpha = float(payload["alpha"])
-    beta = float(payload["beta"])
-    lam = 1.0 / (alpha + beta)
-    # Documents written before truncation_sup was stored load with None.
-    truncation_sup = payload.get("truncation_sup")
-    rb = ReducedBasis(
-        V=V,
-        d=V.shape[1],
-        theta=theta,
-        f_rb=np.asarray(payload["f_rb"], dtype=np.float64),
-        alpha=alpha,
-        beta=beta,
-        lam=lam,
-        delta=lam * beta,
-        truncation_sup=None if truncation_sup is None else float(truncation_sup),
-    )
+    try:
+        payload = doc["reduced_basis"]
+        V = np.asarray(payload["V"], dtype=np.float64)
+        alpha = float(payload["alpha"])
+        beta = float(payload["beta"])
+        lam = 1.0 / (alpha + beta)
+        # Documents written before truncation_sup was stored load with None.
+        truncation_sup = payload.get("truncation_sup")
+        rb = ReducedBasis(
+            V=V,
+            d=V.shape[1],
+            theta=tuple(np.asarray(t, dtype=np.float64) for t in payload["theta"]),
+            f_rb=np.asarray(payload["f_rb"], dtype=np.float64),
+            alpha=alpha,
+            beta=beta,
+            lam=lam,
+            delta=lam * beta,
+            truncation_sup=None if truncation_sup is None else float(truncation_sup),
+        )
+    except (IndexError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise InvalidArgument(f"malformed reduced-basis document: {exc!r}") from exc
     return net, rb

@@ -160,6 +160,21 @@ def test_complexity_table(tmp_path):
     assert int(by_key[(4, 1e-2)][4]) > int(by_key[(2, 1e-2)][4])
 
 
+def test_complexity_bound_is_exact_at_l1(tmp_path):
+    """At l = 1 the bound column is the exact count 32d^2 - 2d."""
+    out = tmp_path / "table.csv"
+    assert main(
+        ["complexity", "--dims", "1,3,5", "--eps", "0.5", "--delta", "0.9",
+         "--out", str(out)]
+    ) == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [int(r["l"]) for r in rows] == [1, 1, 1]
+    for r in rows:
+        d = int(r["d"])
+        assert int(r["nnz"]) == int(r["bound"]) == 32 * d * d - 2 * d
+
+
 def test_complexity_rejects_bad_dims(tmp_path):
     proc = run_cli(
         "complexity", "--dims", "0,2", "--eps", "1e-2", "--delta", "0.5",

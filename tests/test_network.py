@@ -10,6 +10,7 @@ import scipy.sparse as sp
 from requnet import (
     DimensionMismatch,
     EmptyNetwork,
+    InvalidArgument,
     Network,
     NonFiniteEntry,
     complexity,
@@ -247,6 +248,8 @@ def test_save_load_round_trip_is_bit_exact(tmp_path):
 
 
 def test_network_file_format_schema(tmp_path):
+    """Layers are stored as their CSR arrays, so a file grows with the
+    nonzero count rather than with rows x cols."""
     net = make_network([(np.array([[1.0, 0.0], [0.5, 2.0]]), np.array([0.0, 1.0]))])
     path = tmp_path / "net.json"
     save_network(path, net)
@@ -254,8 +257,128 @@ def test_network_file_format_schema(tmp_path):
     assert set(doc) == {"input_dim", "layers"}
     assert doc["input_dim"] == 2
     layer = doc["layers"][0]
-    assert set(layer) == {"rows", "cols", "A", "b"}
-    assert layer["A"] == [1.0, 0.0, 0.5, 2.0]  # row-major
+    assert set(layer) == {"rows", "cols", "data", "indices", "indptr", "b"}
+    assert (layer["rows"], layer["cols"]) == (2, 2)
+    assert layer["data"] == [1.0, 0.5, 2.0]
+    assert layer["indices"] == [0, 0, 1]
+    assert layer["indptr"] == [0, 1, 3]
+    assert layer["b"] == [0.0, 1.0]
+
+
+def test_save_load_keeps_csr_structure(tmp_path):
+    """data/indices/indptr come back exactly, an explicitly stored zero too."""
+    A = sp.csr_matrix(
+        (np.array([0.1, 0.0, -1 / 3]), np.array([1, 0, 2]), np.array([0, 1, 3])),
+        shape=(2, 3),
+    )
+    stored_zero = make_network([(A, np.array([0.0, 2.5])), (rng.random((2, 2)), np.ones(2))])
+    assert stored_zero.layers[0][0].nnz == 3
+    for net in (
+        stored_zero,
+        identity_network(3, 4),
+        mult_network(2, 3, 2),
+    ):
+        path = tmp_path / "net.json"
+        save_network(path, net)
+        loaded = load_network(path)
+        assert loaded.depth == net.depth
+        for (A1, b1), (A2, b2) in zip(net.layers, loaded.layers):
+            assert A1.shape == A2.shape
+            for arrays in ((A1.data, A2.data), (A1.indices, A2.indices), (A1.indptr, A2.indptr)):
+                assert np.array_equal(*arrays)
+            assert np.array_equal(b1, b2)
+
+
+# A network file in the dense row-major layout written before layers were
+# stored as CSR arrays; such files must keep loading.
+DENSE_DOC = (
+    '{"input_dim": 3, "layers": [{"rows": 2, "cols": 3, "A": [0.1, 0.0, '
+    '-0.3333333333333333, 0.0, 2.5e-17, 0.0], "b": [0.0, 1e-300]}, '
+    '{"rows": 1, "cols": 2, "A": [1.0, -7.0], "b": [0.5]}]}'
+)
+
+
+def test_dense_network_document_still_loads(tmp_path):
+    path = tmp_path / "dense.json"
+    path.write_text(DENSE_DOC)
+    net = load_network(path)
+    want = [
+        (np.array([[0.1, 0.0, -1 / 3], [0.0, 2.5e-17, 0.0]]), np.array([0.0, 1e-300])),
+        (np.array([[1.0, -7.0]]), np.array([0.5])),
+    ]
+    assert net.input_dim == 3 and net.depth == 2
+    for (A, b), (A_want, b_want) in zip(net.layers, want):
+        assert np.array_equal(A.toarray(), A_want)
+        assert np.array_equal(b, b_want)
+    assert complexity(net).layer_nnz == (4, 3)
+    x = np.array([0.7, -0.2, 0.4])
+    assert np.array_equal(realize(net, x), realize(make_network(want), x))
+
+
+def _csr_doc():
+    return {
+        "input_dim": 2,
+        "layers": [
+            {"rows": 2, "cols": 2, "data": [1.0, 2.0], "indices": [0, 1],
+             "indptr": [0, 1, 2], "b": [0.0, 0.0]}
+        ],
+    }
+
+
+def _load_doc(tmp_path, doc):
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(doc))
+    return load_network(path)
+
+
+def test_load_csr_document_reference(tmp_path):
+    net = _load_doc(tmp_path, _csr_doc())
+    np.testing.assert_array_equal(realize(net, [3.0, -1.0]), [3.0, -2.0])
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("indices", [0, 2]),  # column 2 of a 2-column matrix
+        ("indices", [0, -1]),
+        ("indices", [0]),  # fewer indices than data
+        ("indices", [0, 1, 1]),  # more indices than data
+        ("indices", [0.0, 1.5]),
+        ("indices", [False, True]),
+        ("indices", 1),
+        ("indptr", [0, 2]),  # too short for 2 rows
+        ("indptr", [0, 2, 1]),
+        ("indptr", [0, 1, 3]),  # points past the data
+        ("indptr", [1, 1, 2]),
+        ("data", 1.0),
+        ("data", ["x", "y"]),
+        ("b", "zero"),
+        ("rows", None),
+    ],
+)
+def test_load_rejects_malformed_csr_layer(tmp_path, key, value):
+    doc = _csr_doc()
+    doc["layers"][0][key] = value
+    with pytest.raises(InvalidArgument):
+        _load_doc(tmp_path, doc)
+
+
+@pytest.mark.parametrize("key", ["rows", "cols", "data", "indices", "indptr", "b"])
+def test_load_rejects_missing_layer_key(tmp_path, key):
+    doc = _csr_doc()
+    del doc["layers"][0][key]
+    with pytest.raises(InvalidArgument):
+        _load_doc(tmp_path, doc)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [{"layers": _csr_doc()["layers"]}, {"input_dim": 2}, {"input_dim": 2, "layers": 3},
+     {"input_dim": 2, "layers": [3]}, [], "net"],
+)
+def test_load_rejects_malformed_document(tmp_path, doc):
+    with pytest.raises(InvalidArgument):
+        _load_doc(tmp_path, doc)
 
 
 def test_network_accepts_sparse_and_dense_layers():

@@ -14,6 +14,7 @@ from requnet import (
     DimensionMismatch,
     EmptySnapshotSet,
     InvalidArgument,
+    Network,
     SingularSystem,
     assemble_affine_system,
     assemble_load,
@@ -28,7 +29,9 @@ from requnet import (
     matr,
     neumann_length,
     realize,
+    realize_batch,
     reduced_solve,
+    requ,
     save_reduced_network,
     solution_network,
     solve_high_fidelity,
@@ -382,6 +385,21 @@ def test_solution_network_depth_relation(rb9):
     assert complexity(h_net).depth == complexity(rb_net).depth + 1
 
 
+def test_solution_network_shares_prefix(rb9):
+    """h_net extends rb_net's prefix by the very same layer objects, so one
+    evaluation of that prefix gives both outputs bit for bit."""
+    rb_net, h_net = solution_network(rb9, 1e-3, 1.01 * np.linalg.norm(rb9.f_rb))
+    assert h_net.depth == rb_net.depth + 1
+    for (A1, b1), (A2, b2) in zip(rb_net.layers[:-1], h_net.layers[:-2]):
+        assert A1 is A2 and b1 is b2
+    Y = np.random.default_rng(7).uniform(0, 1, (4, 40))
+    shared = requ(realize_batch(Network(rb_net.layers[:-1]), Y, chunk=16))
+    rb_head = realize_batch(Network(rb_net.layers[-1:]), shared)
+    h_head = realize_batch(Network(h_net.layers[-2:]), shared)
+    assert np.array_equal(rb_head, realize_batch(rb_net, Y, chunk=16))
+    assert np.array_equal(h_head, realize_batch(h_net, Y, chunk=16))
+
+
 def test_solution_network_meets_every_budget(rb9):
     rng = np.random.default_rng(111)
     ys = rng.uniform(0, 1, (10, 4))
@@ -568,3 +586,53 @@ def test_load_reduced_network_without_truncation_sup(tmp_path, sys9):
     net2, rb2 = load_reduced_network(path)
     assert rb2.truncation_sup is None
     assert (rb2.V == rb.V).all() and (rb2.f_rb == rb.f_rb).all()
+
+
+# A reduced-network file in the dense row-major layer layout written before
+# layers were stored as CSR arrays; such files must keep loading.
+DENSE_REDUCED_DOC = (
+    '{"input_dim": 1, "layers": [{"rows": 2, "cols": 1, "A": [1.0, -1.0], '
+    '"b": [0.0, 0.1]}, {"rows": 1, "cols": 2, "A": [0.25, 0.0], '
+    '"b": [3.96805425182854]}], "reduced_basis": {"V": [[0.6], [0.8]], '
+    '"theta": [[[0.5000000000000002]], [[1.0000000000000004]]], '
+    '"f_rb": [3.96805425182854], "alpha": 1.5, "beta": 0.5, "truncation_sup": 0.0}}'
+)
+
+
+def test_dense_reduced_document_still_loads(tmp_path):
+    path = tmp_path / "dense.json"
+    path.write_text(DENSE_REDUCED_DOC)
+    net, rb = load_reduced_network(path)
+    assert np.array_equal(net.layers[0][0].toarray(), [[1.0], [-1.0]])
+    assert np.array_equal(net.layers[0][1], [0.0, 0.1])
+    assert np.array_equal(net.layers[1][0].toarray(), [[0.25, 0.0]])
+    assert np.array_equal(net.layers[1][1], [3.96805425182854])
+    assert complexity(net).layer_nnz == (3, 2)
+    assert np.array_equal(rb.V, [[0.6], [0.8]]) and rb.d == 1
+    assert rb.theta[0][0, 0] == 0.5000000000000002
+    assert rb.theta[1][0, 0] == 1.0000000000000004
+    assert (rb.alpha, rb.beta, rb.lam, rb.truncation_sup) == (1.5, 0.5, 0.5, 0.0)
+    assert realize(net, [2.0])[0] == 0.25 * 2.0**2 + 3.96805425182854
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda doc: doc.pop("reduced_basis"),
+        lambda doc: doc["reduced_basis"].pop("V"),
+        lambda doc: doc["reduced_basis"].pop("alpha"),
+        lambda doc: doc["reduced_basis"].update(V=[0.6, 0.8]),
+        lambda doc: doc["reduced_basis"].update(theta=3),
+        lambda doc: doc["reduced_basis"].update(f_rb="f"),
+        lambda doc: doc.update(reduced_basis=[1.0]),
+        lambda doc: doc["layers"][0].pop("b"),
+    ],
+    ids=["no-payload", "no-V", "no-alpha", "V-1d", "theta-3", "f_rb-text", "payload-list", "no-b"],
+)
+def test_load_reduced_rejects_malformed_document(tmp_path, edit):
+    doc = json.loads(DENSE_REDUCED_DOC)
+    edit(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(InvalidArgument):
+        load_reduced_network(path)
