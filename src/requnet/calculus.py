@@ -6,13 +6,14 @@ The calculus rests on one 4-unit gadget: with
 
 every real x satisfies x = beta1 . sigma2(omega1 * x + gamma1), because
 sigma2(s) + sigma2(-s) = s^2 collapses the four squares to
-((x+1)^2 - (x-1)^2)/4.  Stacking the gadget per coordinate gives identity
-networks of any depth, which in turn give composition and padding
-operations whose depth and nonzero counts obey exact formulas:
+((x+1)^2 - (x-1)^2)/4.  extend stacks the gadget per output coordinate
+after a network's own layers; identity networks and sparse composition
+are extend applied to the affine identity and to the inner factor.  The
+operations' depth and nonzero counts obey exact formulas:
 
     concat:        depth L1 + L2 - 1 (boundary affine maps fused)
-    sparse_concat: depth L1 + L2     (composition through a 2-layer identity)
-    extend:        pad to a requested depth with an identity prefix
+    sparse_concat: depth L1 + L2     (the inner factor extended by one layer)
+    extend:        pad to a requested depth with gadget layers after phi's own
     parallelize:   block-diagonal stacking on disjoint input lanes
 """
 
@@ -57,15 +58,6 @@ def concat(phi1, phi2):
     return Network(phi2.layers[:-1] + (fused,) + phi1.layers[1:])
 
 
-def _identity_blocks(n):
-    """Per-coordinate gadget blocks: W (4n x n), Gamma (4n), B (n x 4n)."""
-    eye = sp.eye(n, format="csr")
-    W = sp.kron(eye, sp.csr_matrix(OMEGA1.reshape(4, 1)), format="csr")
-    B = sp.kron(eye, sp.csr_matrix(BETA1.reshape(1, 4)), format="csr")
-    Gamma = np.tile(GAMMA1, n)
-    return W, Gamma, B
-
-
 def identity_network(n, L):
     """Network of depth L computing the identity on R^n exactly.
 
@@ -74,36 +66,42 @@ def identity_network(n, L):
     """
     if n < 1 or L < 1:
         raise InvalidArgument(f"need n >= 1 and L >= 1, got n={n}, L={L}")
-    if L == 1:
-        return Network([(sp.eye(n, format="csr"), np.zeros(n))])
-    W, Gamma, B = _identity_blocks(n)
-    middle = (W @ B, Gamma)
-    layers = [(W, Gamma)] + [middle] * (L - 2) + [(B, np.zeros(n))]
-    return Network(layers)
+    return extend(affine_network(sp.eye(n, format="csr")), L)
 
 
 def sparse_concat(phi1, phi2):
-    """Compose phi1 after phi2 through a 2-layer identity network.
+    """Compose phi1 after phi2 extended by one gadget layer.
 
     Depth L1 + L2; keeps each factor's interior weights untouched, so the
     result's nonzero count is M1 + M2 plus boundary terms bounded by
     4*M_first(phi1) + 4*M_last(phi2) + 4*out_dim(phi2).
     """
-    n = phi2.output_dim
-    if phi1.input_dim != n:
-        raise DimensionMismatch(
-            f"cannot compose: {phi1.input_dim} inputs after {n} outputs"
-        )
-    return concat(concat(phi1, identity_network(n, 2)), phi2)
+    return concat(phi1, extend(phi2, phi2.depth + 1))
 
 
 def extend(phi, L):
-    """Pad phi to depth L (same realization) with an identity prefix."""
-    if L < phi.depth:
+    """Pad phi to depth L (same realization) with gadget layers after its own.
+
+    With W (4n x n), Gamma (4n) and B (n x 4n) stacking the gadget per
+    output coordinate and k = L - depth(phi), phi's last affine map (A, b)
+    becomes (W A, W b + Gamma), followed by k - 1 layers (W B, Gamma) and a
+    final (B, 0): each output passes through the gadget k times.
+    """
+    k = L - phi.depth
+    if k < 0:
         raise InvalidArgument(f"cannot extend depth {phi.depth} network to {L}")
-    if L == phi.depth:
+    if k == 0:
         return phi
-    return sparse_concat(identity_network(phi.output_dim, L - phi.depth), phi)
+    n = phi.output_dim
+    ptr = np.arange(4 * n + 1)
+    W = sp.csr_matrix((np.tile(OMEGA1, n), ptr[:-1] // 4, ptr), shape=(4 * n, n))
+    B = sp.csr_matrix((np.tile(BETA1, n), ptr[:-1], ptr[::4]), shape=(n, 4 * n))
+    Gamma = np.tile(GAMMA1, n)
+    A, b = phi.layers[-1]
+    middle = ((W @ B, Gamma),) * (k - 1) if k > 1 else ()
+    return Network(
+        phi.layers[:-1] + ((W @ A, W @ b + Gamma),) + middle + ((B, np.zeros(n)),)
+    )
 
 
 def parallelize(phis):

@@ -28,6 +28,8 @@ from .calculus import (
 )
 from .errors import InvalidArgument
 from .matrixnets import (
+    _inversion_nnz_bound,
+    _inversion_nnz_exact,
     inversion_network,
     matr,
     mult_network,
@@ -86,20 +88,6 @@ def _random_net(rng, in_dim=None, depth=None):
 def _contraction_sample(rng, d, delta):
     A = rng.standard_normal((d, d))
     return A * ((1.0 - delta) / np.linalg.norm(A, 2))
-
-
-def _inversion_nnz_bound(d, l):
-    """Polynomial weight bound of the inversion construction (exact at l = 1)."""
-    if l == 1:
-        return _inversion_nnz_exact(d, 1)
-    return (32 * l * l + 60 * l - 80) * d**3 + (40 * l * l - 44 * l - 112) * d**2
-
-
-def _inversion_nnz_exact(d, l):
-    """Exact nonzero count of inversion_network at dimension d, length l."""
-    if l == 1:
-        return 32 * d**2 - 2 * d
-    return (96 * l - 120) * d**3 + (12 * l + 20) * d**2 + (40 - 24 * l) * d
 
 
 # --------------------------------------------------------------------------

@@ -76,9 +76,7 @@ def scalar_product_network():
     Layer 1 forms the four combinations +-x +- y; layer 2 combines their
     squares as ((x+y)^2 - (x-y)^2)/4 = x*y.  8 + 4 nonzeros.
     """
-    A1 = np.column_stack([OMEGA1, GAMMA1])
-    A2 = BETA1.reshape(1, 4)
-    return Network([(A1, np.zeros(4)), (A2, np.zeros(1))])
+    return mult_network(1, 1, 1)
 
 
 def mult_network(d, n, l):
@@ -134,9 +132,10 @@ def power_network(d, j):
     """
     if d < 1 or j < 1:
         raise InvalidArgument(f"need d >= 1 and j >= 1, got d={d}, j={j}")
-    net = square_network(d)
+    square = square_network(d)
+    net = square
     for _ in range(j - 1):
-        net = sparse_concat(square_network(d), net)
+        net = sparse_concat(square, net)
     return net
 
 
@@ -160,6 +159,20 @@ def neumann_length(epsilon, delta):
     terms = math.log(delta * epsilon) / math.log(1.0 - delta)
     l = math.ceil(math.log2(terms + 1.0))
     return NeumannPlan(epsilon=float(epsilon), delta=float(delta), l=int(l))
+
+
+def _inversion_nnz_exact(d, l):
+    """Exact nonzero count of inversion_network at dimension d, length l."""
+    if l == 1:
+        return 32 * d**2 - 2 * d
+    return (96 * l - 120) * d**3 + (12 * l + 20) * d**2 + (40 - 24 * l) * d
+
+
+def _inversion_nnz_bound(d, l):
+    """Polynomial weight bound of the inversion construction (exact at l = 1)."""
+    if l == 1:
+        return _inversion_nnz_exact(d, 1)
+    return (32 * l * l + 60 * l - 80) * d**3 + (40 * l * l - 44 * l - 112) * d**2
 
 
 def _shift_by_identity(d):
@@ -194,9 +207,9 @@ def inversion_network(d, epsilon, delta):
     stages joined by sparse_concat: the first maps vec A to (A + I, A^2),
     each middle stage runs mult_network on (P_k, Q_k + I) beside
     square_network on Q_k, and the last multiplies P_{l-1} (Q_{l-1} + I).
-    The middle stage is built once and reused.  Nonzeros, exactly:
-    (96l - 120)d^3 + (12l + 20)d^2 + (40 - 24l)d for l >= 2, and
-    32d^2 - 2d for l = 1.
+    The middle stage is built once and reused.  Nonzeros, exactly
+    (_inversion_nnz_exact): (96l - 120)d^3 + (12l + 20)d^2 + (40 - 24l)d
+    for l >= 2, and 32d^2 - 2d for l = 1.
     """
     if d < 1:
         raise InvalidArgument(f"need d >= 1, got {d}")

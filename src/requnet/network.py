@@ -47,19 +47,21 @@ def _freeze(arr):
 
 
 def _as_csr(matrix):
-    """Read-only CSR form of `matrix` with sorted indices.  A CSR input is
-    shared only when it is already read-only and sorted; otherwise it is
-    copied, so the caller keeps a writable matrix of its own."""
+    """Read-only canonical CSR form of `matrix`: sorted indices, duplicate
+    (row, col) entries summed into one.  A CSR input is shared only when it
+    is already read-only and canonical; otherwise it is copied, so the
+    caller keeps a writable matrix of its own."""
     if sp.issparse(matrix):
         A = matrix.tocsr().astype(np.float64, copy=False)
     else:
         A = sp.csr_matrix(np.asarray(matrix, dtype=np.float64))
     arrays = (A.data, A.indices, A.indptr)
     if A is matrix and (
-        any(a.flags.writeable for a in arrays) or not A.has_sorted_indices
+        any(a.flags.writeable for a in arrays) or not A.has_canonical_format
     ):
         A = A.copy()
     A.sort_indices()
+    A.sum_duplicates()  # once sorted, only a read-only scan unless duplicates exist
     for a in (A.data, A.indices, A.indptr):
         _freeze(a)
     return A

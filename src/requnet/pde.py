@@ -28,14 +28,14 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .calculus import BETA1, GAMMA1, OMEGA1, affine_network, concat, parallelize, sparse_concat
+from .calculus import affine_network, concat, identity_network, parallelize, sparse_concat
 from .errors import (
     DimensionMismatch,
     EmptySnapshotSet,
     InvalidArgument,
     SingularSystem,
 )
-from .matrixnets import inversion_network, mult_network, vec
+from .matrixnets import _duplicator, inversion_network, mult_network, vec
 from .network import Network, _network_doc, _network_from_doc, realize_batch
 
 __all__ = [
@@ -227,7 +227,6 @@ def assemble_affine_system(grid_n, s, mu):
     D = grid_n * grid_n
     p = s * s
 
-    K_parts = []
     sub_parts = [[] for _ in range(p)]
     for tris in _mesh_triangles(grid_n):
         dofs = _dof_index(tris, grid_n)
@@ -237,12 +236,12 @@ def assemble_affine_system(grid_n, s, mu):
         col = np.clip((centroid[:, 0] * s).astype(int), 0, s - 1)
         row = np.clip((centroid[:, 1] * s).astype(int), 0, s - 1)
         sub = row * s + col
-        K_parts.append(_stiffness_coo(dofs, kloc, D))
         for i in range(p):
             sub_parts[i].append(_stiffness_coo(dofs[sub == i], kloc, D))
 
-    K = (K_parts[0] + K_parts[1]).tocsr()
     Bs = tuple((a + b).tocsr() for a, b in sub_parts)
+    # local entries are 0, +-1/2 or 1, so the subdomain sum is exact
+    K = sum(Bs)
     f = assemble_load(grid_n, _default_load)
     return AffineSystem(
         grid_n=grid_n,
@@ -372,18 +371,15 @@ def reduced_solve(rb, y):
 def b_network(rb):
     """Two-layer network mapping y to vec(lam * B^rb_y) exactly.
 
-    Each parameter passes through the four-unit identity gadget, so the
-    affine dependence on y survives the activation; the second layer
-    recombines the gadget outputs with vec(lam*theta_i) columns.  At most
+    The affine map y -> Theta y + vec(lam*theta_0), with columns
+    vec(lam*theta_i), after a 2-layer identity on the parameters, so the
+    affine dependence on y survives the activation.  At most
     8p + (4p+1)d^2 nonzeros.
     """
-    p, d = rb.p, rb.d
-    A1 = sp.kron(sp.eye(p), sp.csr_matrix(OMEGA1.reshape(4, 1)), format="csr")
-    b1 = np.tile(GAMMA1, p)
-    blocks = [np.outer(vec(rb.lam * ti), BETA1) for ti in rb.theta[1:]]
-    A2 = sp.csr_matrix(np.hstack(blocks))
-    b2 = vec(rb.lam * rb.theta[0])
-    return Network([(A1, b1), (A2, b2)])
+    Theta = np.column_stack([vec(rb.lam * ti) for ti in rb.theta[1:]])
+    return concat(
+        affine_network(Theta, vec(rb.lam * rb.theta[0])), identity_network(rb.p, 2)
+    )
 
 
 def f_network(rb):
@@ -394,13 +390,11 @@ def f_network(rb):
 def contraction_network(rb):
     """Two-layer network mapping y to vec(I - lam * B^rb_y) exactly.
 
-    Same weights as b_network with the last layer negated and the
-    identity added to its bias; the output is the Neumann-series
+    b_network followed by v -> vec I - v; the output is the Neumann-series
     contraction, with spectral norm at most 1 - delta over the box.
     """
-    bnet = b_network(rb)
-    (A1, b1), (A2, b2) = bnet.layers
-    return Network([(A1, b1), (-A2, vec(np.eye(rb.d)) - b2)])
+    flip = affine_network(-sp.eye(rb.d * rb.d, format="csr"), vec(np.eye(rb.d)))
+    return concat(flip, b_network(rb))
 
 
 def inv_b_network(rb, epsilon):
@@ -443,14 +437,12 @@ def solution_network(rb, epsilon, C_f):
         raise InvalidArgument(
             f"C_f must be positive and at least |f_rb| = {f_norm:.6g}, got {C_f}"
         )
-    p, d = rb.p, rb.d
     # With the exact load network the budget epsilon*C_f' / (eps*beta + 2C_f)
     # already sits below epsilon/2; clamp only to keep the argument in (0,1).
     eps_prime = min(epsilon / (epsilon * rb.beta + 2.0 * C_f), 0.9)
     lanes = parallelize([inv_b_network(rb, eps_prime), f_network(rb)])
-    core = sparse_concat(mult_network(d, d, 1), lanes)
-    fan_out = affine_network(sp.vstack([sp.identity(p), sp.identity(p)], format="csr"))
-    rb_net = concat(core, fan_out)
+    core = sparse_concat(mult_network(rb.d, rb.d, 1), lanes)
+    rb_net = concat(core, _duplicator(rb.p))
     h_net = sparse_concat(affine_network(sp.csr_matrix(rb.V)), rb_net)
     return rb_net, h_net
 

@@ -24,7 +24,7 @@ from requnet import (
     square_network,
     vec,
 )
-from requnet.cli import _inversion_nnz_exact
+from requnet.matrixnets import _inversion_nnz_exact
 
 rng = np.random.default_rng(4101)
 
@@ -98,6 +98,15 @@ def test_scalar_product_complexity():
     rep = complexity(scalar_product_network())
     assert rep.depth == 2
     assert rep.layer_nnz == (8, 4)
+
+
+def test_scalar_product_weights():
+    (A1, b1), (A2, b2) = scalar_product_network().layers
+    assert np.array_equal(
+        A1.toarray(), [[1.0, 1.0], [-1.0, -1.0], [1.0, -1.0], [-1.0, 1.0]]
+    )
+    assert np.array_equal(A2.toarray(), [[0.25, 0.25, -0.25, -0.25]])
+    assert np.array_equal(b1, np.zeros(4)) and np.array_equal(b2, np.zeros(1))
 
 
 # ------------------------------------------------------------- mult_network

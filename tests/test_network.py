@@ -212,6 +212,43 @@ def test_complexity_sees_through_stored_zeros():
     assert rep.total_nnz == 1
 
 
+def _duplicate_entry_layer():
+    """1 x 1 CSR layer storing 1.0 and 2.0 at the same position (0, 0)."""
+    A = sp.csr_matrix((np.array([1.0, 2.0]), np.array([0, 0]), np.array([0, 2])), shape=(1, 1))
+    assert A.nnz == 2
+    return A
+
+
+def test_make_network_sums_duplicate_entries():
+    A = _duplicate_entry_layer()
+    net = make_network([(A, np.zeros(1))])
+    assert complexity(net).total_nnz == 1
+    assert np.array_equal(realize(net, [1.0]), [3.0])
+    assert np.array_equal(net.layers[0][0].data, [3.0])
+    assert np.array_equal(A.data, [1.0, 2.0])  # the caller's matrix is untouched
+
+
+def test_network_shares_no_non_canonical_read_only_input():
+    A = _duplicate_entry_layer()
+    for a in (A.data, A.indices, A.indptr):
+        a.setflags(write=False)
+    net = make_network([(A, np.zeros(1))])
+    assert net.layers[0][0] is not A
+    assert complexity(net).total_nnz == 1
+
+
+def test_load_sums_duplicate_entries(tmp_path):
+    path = tmp_path / "dup.json"
+    path.write_text(json.dumps({
+        "input_dim": 1,
+        "layers": [{"rows": 1, "cols": 1, "data": [1.0, 2.0], "indices": [0, 0],
+                    "indptr": [0, 2], "b": [0.0]}],
+    }))
+    net = load_network(path)
+    assert complexity(net).total_nnz == 1
+    assert np.array_equal(realize(net, [1.0]), [3.0])
+
+
 def test_complexity_identity_formula():
     assert complexity(identity_network(3, 4)).total_nnz == 20 * 3 * 4 - 28 * 3
 

@@ -67,10 +67,8 @@ def test_assembly_shapes_grid33():
 
 def test_partition_of_unity(sys9):
     total = sum(B.toarray() for B in sys9.Bs)
-    np.testing.assert_allclose(total, sys9.G.toarray(), rtol=0, atol=1e-12)
-    np.testing.assert_allclose(
-        sys9.B0.toarray(), 0.1 * sys9.G.toarray(), rtol=0, atol=1e-12
-    )
+    assert np.array_equal(total, sys9.G.toarray())
+    assert np.array_equal(sys9.B0.toarray(), 0.1 * sys9.G.toarray())
 
 
 def test_single_subdomain_covers_everything():
@@ -293,6 +291,39 @@ def test_b_network_complexity(rb9):
     assert rep.depth == 2
     assert rep.layer_nnz[0] == 8 * p
     assert rep.total_nnz == 8 * p + (4 * p + 1) * d * d
+
+
+def _hand_built_operator_layers(rb):
+    """Gadget weights of b_network written out directly: per parameter the
+    columns (1, -1, 1, -1) and bias (1, -1, -1, 1), then each column
+    vec(lam * theta_i) times (1, 1, -1, -1)/4, bias vec(lam * theta_0)."""
+    omega = np.array([1.0, -1.0, 1.0, -1.0])
+    gamma = np.array([1.0, -1.0, -1.0, 1.0])
+    beta = np.array([0.25, 0.25, -0.25, -0.25])
+    A1 = sp.kron(sp.eye(rb.p), sp.csr_matrix(omega.reshape(4, 1)), format="csr")
+    blocks = [np.outer(vec(rb.lam * ti), beta) for ti in rb.theta[1:]]
+    A2 = sp.csr_matrix(np.hstack(blocks))
+    return [(A1, np.tile(gamma, rb.p)), (A2, vec(rb.lam * rb.theta[0]))]
+
+
+def assert_same_layers(net, want):
+    assert len(net.layers) == len(want)
+    for (A, b), (A_want, b_want) in zip(net.layers, want):
+        A_want.sort_indices()
+        assert A.shape == A_want.shape
+        for key in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(A, key), getattr(A_want, key)), key
+        assert np.array_equal(b, b_want)
+
+
+def test_b_network_weights_are_the_gadget_formula(rb9):
+    assert_same_layers(b_network(rb9), _hand_built_operator_layers(rb9))
+
+
+def test_contraction_network_weights_negate_b_network(rb9):
+    (A1, b1), (A2, b2) = _hand_built_operator_layers(rb9)
+    want = [(A1, b1), (-A2, vec(np.eye(rb9.d)) - b2)]
+    assert_same_layers(contraction_network(rb9), want)
 
 
 def test_f_network_is_constant(rb9):
