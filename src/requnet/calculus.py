@@ -23,7 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DimensionMismatch, EmptyList, InvalidArgument
-from .network import Network
+from .network import Network, _seal
 
 __all__ = [
     "OMEGA1",
@@ -54,8 +54,8 @@ def concat(phi1, phi2):
         )
     A1, b1 = phi1.layers[0]
     AL, bL = phi2.layers[-1]
-    fused = (A1 @ AL, A1 @ bL + b1)
-    return Network(phi2.layers[:-1] + (fused,) + phi1.layers[1:])
+    fused = _seal(A1 @ AL, A1 @ bL + b1)
+    return Network._trusted(phi2.layers[:-1] + (fused,) + phi1.layers[1:])
 
 
 def identity_network(n, L):
@@ -98,10 +98,24 @@ def extend(phi, L):
     B = sp.csr_matrix((np.tile(BETA1, n), ptr[:-1], ptr[::4]), shape=(n, 4 * n))
     Gamma = np.tile(GAMMA1, n)
     A, b = phi.layers[-1]
-    middle = ((W @ B, Gamma),) * (k - 1) if k > 1 else ()
-    return Network(
-        phi.layers[:-1] + ((W @ A, W @ b + Gamma),) + middle + ((B, np.zeros(n)),)
-    )
+    first = _seal(W @ A, W @ b + Gamma)
+    middle = (_seal(W @ B, Gamma),) * (k - 1) if k > 1 else ()
+    return Network._trusted(phi.layers[:-1] + (first,) + middle + (_seal(B, np.zeros(n)),))
+
+
+def _sparse_chain(stages):
+    """sparse_concat(stages[-1], ... sparse_concat(stages[1], stages[0])) for
+    stages of depth >= 2, with each join's two layers computed once per
+    distinct stage: a repeated stage repeats the same layer objects."""
+    J, K = {}, {}
+    layers = stages[0].layers[:-1]
+    for inner, outer in zip(stages, stages[1:]):
+        if id(inner) not in J or id(outer) not in K:
+            joined = sparse_concat(outer, inner).layers[inner.depth - 1 : inner.depth + 1]
+            J.setdefault(id(inner), joined[0])
+            K.setdefault(id(outer), joined[1])
+        layers += (J[id(inner)], K[id(outer)]) + outer.layers[1:-1]
+    return Network._trusted(layers + stages[-1].layers[-1:])
 
 
 def parallelize(phis):
@@ -116,12 +130,21 @@ def parallelize(phis):
         raise EmptyList("parallelize needs at least one network")
     L = max(phi.depth for phi in phis)
     padded = [extend(phi, L) for phi in phis]
-    layers = []
-    for k in range(L):
-        A = sp.block_diag([p.layers[k][0] for p in padded], format="csr")
-        b = np.concatenate([p.layers[k][1] for p in padded])
-        layers.append((A, b))
-    return Network(layers)
+    levels = [[p.layers[k] for p in padded] for k in range(L)]
+    # a level whose lane layers repeat an earlier level's repeats its stack
+    stacks = {tuple(map(id, lanes)): lanes for lanes in levels}
+    stacks = {key: _stack(lanes) for key, lanes in stacks.items()}
+    return Network._trusted(stacks[tuple(map(id, lanes))] for lanes in levels)
+
+
+def _stack(lanes):
+    """Block-diagonal layer of the lanes' layers, from their CSR arrays."""
+    cols = np.cumsum([0] + [A.shape[1] for A, _ in lanes])
+    wide = [
+        sp.csr_matrix((A.data, A.indices + c, A.indptr), shape=(A.shape[0], cols[-1]))
+        for (A, _), c in zip(lanes, cols)
+    ]
+    return _seal(sp.vstack(wide, format="csr"), np.concatenate([b for _, b in lanes]))
 
 
 def affine_network(A, b=0):

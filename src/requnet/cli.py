@@ -415,9 +415,9 @@ def cmd_pde(args):
     rb_net, h_net = solution_network(rb, args.eps, C_f)
 
     test = rng.random((args.test, system.p))
-    shared = requ(realize_batch(Network(rb_net.layers[:-1]), test.T, chunk=16))
-    outs_rb = realize_batch(Network(rb_net.layers[-1:]), shared)
-    outs_h = realize_batch(Network(h_net.layers[-2:]), shared)
+    shared = requ(realize_batch(Network._trusted(rb_net.layers[:-1]), test.T, chunk=16))
+    outs_rb = realize_batch(Network._trusted(rb_net.layers[-1:]), shared)
+    outs_h = realize_batch(Network._trusted(h_net.layers[-2:]), shared)
     rep_euclid = evaluate_error(
         rb, rb_net, test, system.G, "euclidean-rb", target_eps=args.eps, outputs=outs_rb
     )

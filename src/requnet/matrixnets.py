@@ -30,11 +30,11 @@ from .calculus import (
     BETA1,
     GAMMA1,
     OMEGA1,
+    _sparse_chain,
     affine_network,
     concat,
     extend,
     parallelize,
-    sparse_concat,
 )
 from .errors import ConvergenceFailure, DimensionMismatch, InvalidArgument
 from .network import Network
@@ -132,11 +132,7 @@ def power_network(d, j):
     """
     if d < 1 or j < 1:
         raise InvalidArgument(f"need d >= 1 and j >= 1, got d={d}, j={j}")
-    square = square_network(d)
-    net = square
-    for _ in range(j - 1):
-        net = sparse_concat(square, net)
-    return net
+    return _sparse_chain([square_network(d)] * j)
 
 
 @dataclass(frozen=True)
@@ -207,7 +203,7 @@ def inversion_network(d, epsilon, delta):
     stages joined by sparse_concat: the first maps vec A to (A + I, A^2),
     each middle stage runs mult_network on (P_k, Q_k + I) beside
     square_network on Q_k, and the last multiplies P_{l-1} (Q_{l-1} + I).
-    The middle stage is built once and reused.  Nonzeros, exactly
+    The middle stage and its joins are built once.  Nonzeros, exactly
     (_inversion_nnz_exact): (96l - 120)d^3 + (12l + 20)d^2 + (40 - 24l)d
     for l >= 2, and 32d^2 - 2d for l = 1.
     """
@@ -218,16 +214,15 @@ def inversion_network(d, epsilon, delta):
         # the single factor A + I is one affine layer; pad so the depth
         # formula 2l + 1 holds uniformly
         return extend(_shift_by_identity(d), 3)
-    net = concat(
+    first = concat(
         parallelize([_shift_by_identity(d), square_network(d)]), _duplicator(d * d)
     )
     stage = concat(
         parallelize([mult_network(d, d, d), square_network(d)]),
         _split(d, keep_q=True),
     )
-    for _ in range(l - 2):
-        net = sparse_concat(stage, net)
-    net = sparse_concat(concat(mult_network(d, d, d), _split(d, keep_q=False)), net)
+    last = concat(mult_network(d, d, d), _split(d, keep_q=False))
+    net = _sparse_chain([first] + [stage] * (l - 2) + [last])
     # l depth-2 stages give depth 2l; pad to 2l + 1 as in the l = 1 case
     return extend(net, 2 * l + 1)
 

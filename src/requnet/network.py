@@ -41,30 +41,35 @@ def requ(x):
     return np.square(np.maximum(x, 0.0))
 
 
-def _freeze(arr):
-    arr.setflags(write=False)
-    return arr
-
-
-def _as_csr(matrix):
-    """Read-only canonical CSR form of `matrix`: sorted indices, duplicate
-    (row, col) entries summed into one.  A CSR input is shared only when it
-    is already read-only and canonical; otherwise it is copied, so the
-    caller keeps a writable matrix of its own."""
+def _owned(matrix, b):
+    """The caller's layer as CSR float64 and float64 bias; the caller's own
+    arrays are copied unless read-only (the matrix also canonical)."""
     if sp.issparse(matrix):
         A = matrix.tocsr().astype(np.float64, copy=False)
     else:
         A = sp.csr_matrix(np.asarray(matrix, dtype=np.float64))
-    arrays = (A.data, A.indices, A.indptr)
-    if A is matrix and (
-        any(a.flags.writeable for a in arrays) or not A.has_canonical_format
-    ):
+    read_only = not any(a.flags.writeable for a in (A.data, A.indices, A.indptr))
+    if A is matrix and not (read_only and A.has_canonical_format):
         A = A.copy()
-    A.sort_indices()
-    A.sum_duplicates()  # once sorted, only a read-only scan unless duplicates exist
-    for a in (A.data, A.indices, A.indptr):
-        _freeze(a)
-    return A
+    b = np.asarray(b, dtype=np.float64)
+    return A, (b.copy() if b.flags.writeable else b)
+
+
+def _seal(A, b):
+    """Check and freeze in place a layer nobody else holds: canonical CSR
+    (sorted, duplicates summed), matching bias, nonzero dimensions, finite."""
+    A.sum_duplicates()  # sorts and sums only when not canonical; else a read-only scan
+    b = np.asarray(b, dtype=np.float64)
+    rows, cols = A.shape
+    if b.ndim != 1 or b.shape[0] != rows:
+        raise DimensionMismatch(f"bias length {b.shape} does not match {rows} rows")
+    if rows < 1 or cols < 1:
+        raise DimensionMismatch("zero-dimensional layer rejected")
+    if not np.isfinite(A.data).all() or not np.isfinite(b).all():
+        raise NonFiniteEntry("layer contains NaN or infinite entries")
+    for a in (A.data, A.indices, A.indptr, b):
+        a.setflags(write=False)
+    return A, b
 
 
 class Network:
@@ -72,38 +77,34 @@ class Network:
 
     A_k is N_k x N_{k-1} (CSR), b_k has length N_k.  Instances are
     validated on construction and safe to share across threads; all
-    evaluation is pure.  The CSR arrays and biases are read-only, so
-    layers can be shared between networks.
+    evaluation is pure.  The CSR arrays and biases are read-only, so the
+    calculus passes its operands' layers on to its results as they are.
     """
 
     __slots__ = ("layers", "input_dim", "output_dim")
 
     def __init__(self, layers):
-        checked = []
-        prev_rows = None
-        for A, b in layers:
-            A = _as_csr(A)
-            b = np.asarray(b, dtype=np.float64)
-            if b.ndim != 1 or b.shape[0] != A.shape[0]:
-                raise DimensionMismatch(
-                    f"bias length {b.shape} does not match {A.shape[0]} rows"
-                )
-            rows, cols = A.shape
-            if rows < 1 or cols < 1:
-                raise DimensionMismatch("zero-dimensional layer rejected")
-            if prev_rows is not None and cols != prev_rows:
-                raise DimensionMismatch(
-                    f"layer expects {cols} inputs but previous layer emits {prev_rows}"
-                )
-            if not np.isfinite(A.data).all() or not np.isfinite(b).all():
-                raise NonFiniteEntry("layer contains NaN or infinite entries")
-            prev_rows = rows
-            checked.append((A, _freeze(b if not b.flags.writeable else b.copy())))
-        if not checked:
+        self._set_layers(tuple(_seal(*_owned(A, b)) for A, b in layers))
+
+    @classmethod
+    def _trusted(cls, layers):
+        """Network of validated layers, or fresh ones passed through _seal,
+        taken as they are; only checks that adjacent shapes chain."""
+        net = object.__new__(cls)
+        net._set_layers(tuple(layers))
+        return net
+
+    def _set_layers(self, layers):
+        if not layers:
             raise EmptyNetwork("a network needs at least one layer")
-        object.__setattr__(self, "layers", tuple(checked))
-        object.__setattr__(self, "input_dim", checked[0][0].shape[1])
-        object.__setattr__(self, "output_dim", checked[-1][0].shape[0])
+        for (A, _), (nxt, _) in zip(layers, layers[1:]):
+            if nxt.shape[1] != A.shape[0]:
+                raise DimensionMismatch(
+                    f"layer expects {nxt.shape[1]} inputs but previous layer emits {A.shape[0]}"
+                )
+        object.__setattr__(self, "layers", layers)
+        object.__setattr__(self, "input_dim", layers[0][0].shape[1])
+        object.__setattr__(self, "output_dim", layers[-1][0].shape[0])
 
     def __setattr__(self, name, value):
         raise AttributeError("Network is immutable")
@@ -176,9 +177,11 @@ def realize_batch(net, X, chunk=None):
         return np.concatenate(blocks, axis=1)
     last = len(net.layers) - 1
     for k, (A, b) in enumerate(net.layers):
-        X = A @ X + b[:, None]
-        if k != last:
-            X = requ(X)
+        X = A @ X  # a fresh array, so the caller's X is never written
+        X += b[:, None]
+        if k != last:  # requ in place
+            np.maximum(X, 0.0, out=X)
+            np.square(X, out=X)
     return X
 
 

@@ -3,6 +3,7 @@ parallel lanes, and their exact depth/weight formulas."""
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,6 +13,7 @@ from requnet import (
     EmptyList,
     GAMMA1,
     InvalidArgument,
+    NonFiniteEntry,
     OMEGA1,
     affine_network,
     complexity,
@@ -339,3 +341,49 @@ def test_affine_network_row_sum():
 def test_affine_network_scalar_bias_broadcast():
     net = affine_network(np.eye(2), 0)
     np.testing.assert_array_equal(realize(net, [1.5, -2.0]), [1.5, -2.0])
+
+
+def _same_arrays(x, y):
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def test_concat_rejects_overflowing_product():
+    big = affine_network(np.array([[1e200]]))
+    with pytest.raises(NonFiniteEntry):
+        concat(big, big)
+    with pytest.raises(NonFiniteEntry):
+        concat(big, affine_network(np.array([[1.0]]), 1e200))  # bias overflows
+
+
+def test_identity_middle_layers_are_one_object():
+    net = identity_network(3, 6)
+    for k in (2, 3, 4):
+        assert net.layers[k][0] is net.layers[1][0]
+        assert net.layers[k][1] is net.layers[1][1]
+
+
+def test_calculus_passes_operand_layers_on_unchanged():
+    phi = identity_network(2, 4)
+    psi = make_network([(rng.standard_normal((2, 3)), rng.standard_normal(2))])
+    for net in (concat(affine_network(np.eye(2)), phi), extend(phi, 6)):
+        assert all(a is b for a, b in zip(net.layers[:-1], phi.layers[:-1]))
+    assert all(a is b for a, b in zip(sparse_concat(phi, psi).layers[-3:], phi.layers[1:]))
+
+
+def test_parallelize_matches_block_diag_reference():
+    phis = [random_net(depth=3), identity_network(2, 3), random_net(depth=1)]
+    net = parallelize(phis)
+    padded = [extend(phi, net.depth) for phi in phis]
+    for k, (A, b) in enumerate(net.layers):
+        ref = sp.block_diag([p.layers[k][0] for p in padded], format="csr")
+        ref.sort_indices()
+        assert A.shape == ref.shape
+        for x, y in ((A.data, ref.data), (A.indices, ref.indices), (A.indptr, ref.indptr)):
+            assert _same_arrays(x, y)
+        assert _same_arrays(b, np.concatenate([p.layers[k][1] for p in padded]))
+
+
+def test_parallelize_repeats_stack_of_repeated_lanes():
+    net = parallelize([identity_network(2, 6), identity_network(3, 6)])
+    assert all(net.layers[k] is net.layers[1] for k in (2, 3, 4))
+    assert net.layers[0] is not net.layers[1]

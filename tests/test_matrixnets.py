@@ -6,20 +6,26 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from requnet import (
     ConvergenceFailure,
     DimensionMismatch,
     InvalidArgument,
+    affine_network,
     complexity,
+    concat,
+    extend,
     inversion_network,
     matr,
     mult_network,
     neumann_length,
     neumann_partial_sum_oracle,
+    parallelize,
     power_network,
     realize,
     scalar_product_network,
+    sparse_concat,
     spectral_norm,
     square_network,
     vec,
@@ -413,3 +419,73 @@ def test_spectral_norm_rejects_vector():
 def test_spectral_norm_reports_nonconvergence():
     with pytest.raises(ConvergenceFailure):
         spectral_norm(rng.standard_normal((6, 6)), tol=1e-12, max_iter=2)
+
+
+# ---------------------------------------------------------------------------
+# the shared chain against the stage-by-stage sparse_concat loop
+# ---------------------------------------------------------------------------
+
+
+def _power_reference(d, j):
+    net = square_network(d)
+    for _ in range(j - 1):
+        net = sparse_concat(square_network(d), net)
+    return net
+
+
+def _inversion_reference(d, eps, delta):
+    """The inversion construction with one sparse_concat per stage."""
+    l = neumann_length(eps, delta).l
+    dd = d * d
+    eye = sp.eye(dd, format="csr")
+    shift = affine_network(eye, vec(np.eye(d)))
+    if l == 1:
+        return extend(shift, 3)
+
+    def split(keep_q):
+        rows = [sp.eye(2 * dd, format="csr")] + [sp.eye(dd, 2 * dd, k=dd, format="csr")] * keep_q
+        b = np.zeros(len(rows) * dd + dd)
+        b[dd : 2 * dd] = vec(np.eye(d))
+        return affine_network(sp.vstack(rows, format="csr"), b)
+
+    duplicate = affine_network(sp.vstack([eye, eye], format="csr"))
+    net = concat(parallelize([shift, square_network(d)]), duplicate)
+    for _ in range(l - 2):
+        stage = concat(parallelize([mult_network(d, d, d), square_network(d)]), split(True))
+        net = sparse_concat(stage, net)
+    net = sparse_concat(concat(mult_network(d, d, d), split(False)), net)
+    return extend(net, 2 * l + 1)
+
+
+def _assert_same_layers(net, ref):
+    assert net.depth == ref.depth
+    for (A, b), (R, c) in zip(net.layers, ref.layers):
+        assert A.shape == R.shape
+        for x, y in ((A.data, R.data), (A.indices, R.indices), (A.indptr, R.indptr), (b, c)):
+            assert x.dtype == y.dtype and x.shape == y.shape
+            assert x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("eps,delta", [(0.5, 0.9), (1e-3, 0.5), (1e-3, 0.2), (1e-6, 0.2)])
+def test_inversion_equals_stage_by_stage_reference(d, eps, delta):
+    _assert_same_layers(inversion_network(d, eps, delta), _inversion_reference(d, eps, delta))
+
+
+@pytest.mark.parametrize("d,j", [(1, 1), (2, 2), (2, 4), (3, 3)])
+def test_power_equals_stage_by_stage_reference(d, j):
+    _assert_same_layers(power_network(d, j), _power_reference(d, j))
+
+
+def test_inversion_repeats_join_layers_as_one_object():
+    net = inversion_network(3, 1e-6, 0.2)  # l = 7: five middle stages
+    assert net.depth == 15
+    assert all(net.layers[k] is net.layers[3] for k in (5, 7, 9, 11))
+    assert all(net.layers[k] is net.layers[2] for k in (4, 6, 8, 10))
+    # first layer and join, the repeated pair, last join, last stage and pad
+    assert len({id(layer) for layer in net.layers}) == 7
+
+
+def test_power_repeats_join_layers_as_one_object():
+    net = power_network(2, 4)
+    assert net.layers[3] is net.layers[5] and net.layers[2] is net.layers[4] is net.layers[6]

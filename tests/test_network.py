@@ -438,3 +438,35 @@ def test_direct_network_constructor_validates():
         Network([])
     with pytest.raises(DimensionMismatch):
         Network([(np.zeros((0, 2)), np.zeros(0))])
+
+
+def _layer_loop(net, X):
+    """Reference evaluation with a fresh array at every step."""
+    for k, (A, b) in enumerate(net.layers):
+        X = A @ X + b[:, None]
+        if k < net.depth - 1:
+            X = np.square(np.maximum(X, 0.0))
+    return X
+
+
+def test_realize_batch_in_place_matches_layer_loop_and_keeps_input():
+    net = make_network(
+        [(rng.standard_normal((m, n)), rng.standard_normal(m)) for n, m in [(4, 7), (7, 5), (5, 3)]]
+    )
+    X = rng.standard_normal((4, 37))
+    before = X.copy()
+    want = _layer_loop(net, X)
+    for chunk in (None, 1, 16):
+        got = realize_batch(net, X, chunk=chunk)
+        assert got.tobytes() == want.tobytes()
+        assert X.tobytes() == before.tobytes()
+    assert realize(net, X[:, 0]).tobytes() == want[:, 0].tobytes()
+
+
+def test_trusted_network_checks_that_shapes_chain():
+    net = mult_network(2, 2, 2)
+    assert Network._trusted(net.layers).layers == net.layers
+    with pytest.raises(DimensionMismatch):
+        Network._trusted(net.layers[::-1])
+    with pytest.raises(EmptyNetwork):
+        Network._trusted(())
