@@ -43,6 +43,7 @@ from .matrixnets import (
 )
 from .network import Network, complexity, make_network, realize, realize_batch, requ, save_network
 from .pde import (
+    _EVAL_CHUNK,
     assemble_affine_system,
     build_reduced_basis,
     evaluate_error,
@@ -415,7 +416,7 @@ def cmd_pde(args):
     rb_net, h_net = solution_network(rb, args.eps, C_f)
 
     test = rng.random((args.test, system.p))
-    shared = requ(realize_batch(Network._trusted(rb_net.layers[:-1]), test.T, chunk=16))
+    shared = requ(realize_batch(Network._trusted(rb_net.layers[:-1]), test.T, chunk=_EVAL_CHUNK))
     outs_rb = realize_batch(Network._trusted(rb_net.layers[-1:]), shared)
     outs_h = realize_batch(Network._trusted(h_net.layers[-2:]), shared)
     rep_euclid = evaluate_error(

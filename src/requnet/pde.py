@@ -25,6 +25,7 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -262,20 +263,45 @@ def _parametric_matrix(sys, y):
         raise DimensionMismatch(
             f"parameter has shape {y.shape}, expected ({sys.p},)"
         )
-    B = sys.B0.copy()
+    if not np.isfinite(y).all():
+        raise InvalidArgument("parameter has non-finite entries")
+    B = sys.B0
     for yi, Bi in zip(y, sys.Bs):
         B = B + yi * Bi
     return B.tocsr()
 
 
+def _upper_band(B):
+    """Upper band of a square sparse matrix in LAPACK storage.
+
+    Row bw + i - j of column j holds B[i, j] for j - bw <= i <= j, where
+    the half-bandwidth bw is the largest j - i among the stored entries:
+    (bw + 1) * D doubles, grid_n + 1 rows for the row-major node numbering.
+    """
+    U = sp.triu(B, format="coo")
+    bw = int((U.col - U.row).max(initial=0))
+    ab = np.zeros((bw + 1, B.shape[0]))
+    ab[bw + U.row - U.col, U.col] = U.data
+    return ab
+
+
 def solve_high_fidelity(sys, y):
-    """Direct sparse solve of B_y u = f at one parameter."""
+    """Banded Cholesky solve of B_y u = f at one parameter.
+
+    Only the upper band of B_y is read, so an asymmetric B_y raises
+    InvalidArgument; one that is not positive definite (mu + y_i < 0 on
+    some subdomain, say) raises SingularSystem.  Costs O(D * bw^2) time and
+    (bw + 1) * D doubles with bw the half-bandwidth.
+    """
     B = _parametric_matrix(sys, y)
+    if (B != B.T).nnz:
+        raise InvalidArgument("high-fidelity operator is not symmetric")
     try:
-        lu = spla.splu(B.tocsc())
-        u = lu.solve(sys.f)
-    except RuntimeError as exc:
-        raise SingularSystem(f"high-fidelity operator is singular: {exc}") from exc
+        u = sla.solveh_banded(_upper_band(B), sys.f, check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystem(
+            f"high-fidelity operator is not positive definite: {exc}"
+        ) from exc
     if not np.isfinite(u).all():
         raise SingularSystem("high-fidelity solve produced non-finite values")
     return u
@@ -457,7 +483,10 @@ def _check_gram(G):
     """
     try:
         lu = spla.splu(
-            sp.csc_matrix(G), diag_pivot_thresh=0.0, options={"SymmetricMode": True}
+            sp.csc_matrix(G),
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
         )
     except RuntimeError as exc:
         raise SingularSystem(f"Gram matrix is not positive definite: {exc}") from exc

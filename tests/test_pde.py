@@ -9,6 +9,7 @@ import json
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from requnet import (
     DimensionMismatch,
@@ -38,6 +39,7 @@ from requnet import (
     vec,
     write_error_csv,
 )
+from requnet.pde import _upper_band
 
 
 @pytest.fixture(scope="module")
@@ -166,6 +168,57 @@ def test_manufactured_solution_second_order():
 def test_solve_rejects_wrong_parameter_shape(sys9):
     with pytest.raises(DimensionMismatch):
         solve_high_fidelity(sys9, np.zeros(3))
+
+
+def test_solve_rejects_non_finite_parameter(sys9):
+    for bad in (np.nan, np.inf):
+        with pytest.raises(InvalidArgument):
+            solve_high_fidelity(sys9, np.array([0.5, bad, 0.5, 0.5]))
+
+
+def test_solve_matches_dense_oracle(sys9):
+    corners = np.array(np.meshgrid(*[(0.0, 1.0)] * 4)).reshape(4, -1).T
+    random = np.random.default_rng(23).uniform(0, 1, (8, 4))
+    for y in np.vstack([corners, random]):
+        B = sys9.B0 + sum(yi * Bi for yi, Bi in zip(y, sys9.Bs))
+        want = np.linalg.solve(B.toarray(), sys9.f)
+        np.testing.assert_allclose(solve_high_fidelity(sys9, y), want, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("grid_n", [3, 9, 33])
+def test_gram_half_bandwidth_is_grid_n(grid_n):
+    G = assemble_affine_system(grid_n, 1, 0.1).G
+    ab = _upper_band(G)
+    assert ab.shape == (grid_n + 1, grid_n * grid_n)
+    # row grid_n - k holds the k-th superdiagonal, padded at the front
+    for k in range(grid_n + 1):
+        assert np.array_equal(ab[grid_n - k, k:], G.diagonal(k))
+        assert not ab[grid_n - k, :k].any()
+
+
+@pytest.mark.parametrize("grid_n", [33, 57])
+def test_snapshots_match_sparse_lu(grid_n):
+    sys = assemble_affine_system(grid_n, 3, 0.1)
+    random = np.random.default_rng(29).uniform(0, 1, (2, 9))
+    params = np.vstack([np.zeros(9), np.ones(9), random])
+    for y in params:
+        B = sys.B0 + sum(yi * Bi for yi, Bi in zip(y, sys.Bs))
+        want = spla.splu(B.tocsc()).solve(sys.f)
+        u = solve_high_fidelity(sys, y)
+        assert np.linalg.norm(u - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_solve_rejects_asymmetric_operator(sys9):
+    kink = sp.csr_matrix(([1e-3], ([0], [1])), shape=(sys9.D, sys9.D))
+    sys = dataclasses.replace(sys9, B0=(sys9.B0 + kink).tocsr())
+    with pytest.raises(InvalidArgument):
+        solve_high_fidelity(sys, np.full(4, 0.5))
+
+
+def test_solve_rejects_operator_not_positive_definite(sys9):
+    # mu + y_1 = -0.4 < 0 on the first subdomain: symmetric but indefinite
+    with pytest.raises(SingularSystem):
+        solve_high_fidelity(sys9, np.array([-0.5, 0.5, 0.5, 0.5]))
 
 
 # -------------------------------------------------------- build_reduced_basis
