@@ -16,6 +16,7 @@ CSR keeps evaluation and nonzero accounting exact and cheap.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -153,14 +154,31 @@ def realize(net, x):
     return realize_batch(net, x[:, None])[:, 0]
 
 
+_FOLD_MIN_COLS = 16
+
+
 def realize_batch(net, X, chunk=None):
     """Evaluate the network on each column of X (input_dim x n_samples).
 
     realize is this on a single column; useful when evaluating a large
-    network on a parameter grid.  When `chunk` is given the columns
-    are processed at most `chunk` at a time, which bounds the working-set
-    size at (widest layer) x chunk doubles regardless of the sample count.
-    Raises NonFiniteEntry on NaN or infinite inputs.
+    network on a parameter grid.  When `chunk` (a positive integer, else
+    InvalidArgument) is given, the columns are processed at most `chunk`
+    at a time, which bounds the working set at (widest evaluated layer) x
+    chunk doubles regardless of the sample count.  Raises NonFiniteEntry
+    on NaN or infinite inputs.
+
+    The calculus emits hidden units in pairs (z, -z) that the next layer
+    weights equally, since sigma2(z) + sigma2(-z) = z^2.  From 16 columns
+    up, each hidden layer whose pairing _fold_plan verifies by exact array
+    comparison is evaluated once per pair: its even rows, then z^2, then
+    the next layer's even columns, a quarter of the multiply-adds.  The
+    outputs are bit-identical to the unfolded loop: negation is exact, so
+    one of sigma2(z), sigma2(-z) is exactly 0, and the dropped term c * 0
+    is a signed zero added to a row sum that starts from +0 and so never
+    holds -0.  Below 16 columns the plan's O(nnz) passes cost more than
+    they save: over inversion networks at d 4-16 (l 6-9) and 8 columns,
+    plans plus folded evaluation took 56 ms against 51 ms unfolded, and at
+    16 columns 63 ms against 79 ms (one BLAS thread, 2-core x86 machine).
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] != net.input_dim:
@@ -169,20 +187,103 @@ def realize_batch(net, X, chunk=None):
         )
     if not np.isfinite(X).all():
         raise NonFiniteEntry("input contains NaN or infinite entries")
-    if chunk is not None and X.shape[1] > chunk:
-        blocks = [
-            realize_batch(net, X[:, j : j + chunk])
-            for j in range(0, X.shape[1], chunk)
-        ]
-        return np.concatenate(blocks, axis=1)
-    last = len(net.layers) - 1
-    for k, (A, b) in enumerate(net.layers):
+    if chunk is not None and (
+        isinstance(chunk, bool) or not isinstance(chunk, numbers.Integral) or chunk < 1
+    ):
+        raise InvalidArgument(f"chunk must be a positive integer, got {chunk!r}")
+    n = X.shape[1]
+    if n >= _FOLD_MIN_COLS:
+        plan = _fold_plan(net.layers)
+    else:
+        plan = [(A, b, False) for A, b in net.layers]
+    if chunk is None or n <= chunk:
+        return _evaluate(plan, X)
+    blocks = [_evaluate(plan, X[:, j : j + chunk]) for j in range(0, n, chunk)]
+    return np.concatenate(blocks, axis=1)
+
+
+def _evaluate(plan, X):
+    last = len(plan) - 1
+    for k, (A, b, paired) in enumerate(plan):
         X = A @ X  # a fresh array, so the caller's X is never written
         X += b[:, None]
-        if k != last:  # requ in place
-            np.maximum(X, 0.0, out=X)
+        if k != last:  # requ in place; z^2 on a folded pair
+            if not paired:
+                np.maximum(X, 0.0, out=X)
             np.square(X, out=X)
     return X
+
+
+def _negated_row_pairs(A, b):
+    """Mask of the entries in A's even rows if every odd row of (A, b) is
+    exactly the negation of the row before it, else None."""
+    counts = np.diff(A.indptr)
+    if A.shape[0] % 2 or not np.array_equal(counts[1::2], counts[0::2]):
+        return None
+    even = np.repeat(np.arange(A.shape[0]) % 2 == 0, counts)
+    if (
+        np.array_equal(b[1::2], -b[0::2])
+        and np.array_equal(A.indices[~even], A.indices[even])
+        and np.array_equal(A.data[~even], -A.data[even])
+    ):
+        return even
+    return None
+
+
+def _equal_column_pairs(A):
+    """Whether A's stored entries come in adjacent pairs at columns
+    (2i, 2i + 1) with equal values, each pair inside one row."""
+    idx = A.indices
+    return (
+        not (A.indptr % 2).any()
+        and not (idx[0::2] % 2).any()
+        and np.array_equal(idx[1::2], idx[0::2] + 1)
+        and np.array_equal(A.data[1::2], A.data[0::2])
+    )
+
+
+def _fold_plan(layers):
+    """The (A, b, paired) triples realize_batch evaluates for these layers.
+
+    A hidden layer is paired when its rows come in negated pairs and the
+    next layer's columns in equal pairs; it then keeps its even rows and
+    its successor keeps its even columns.  Unpaired layers stay as they
+    are.  Shared layer objects are checked and folded once.
+    """
+    masks, folded, plan = {}, {}, []
+    prev = None
+    for k, layer in enumerate(layers):
+        mask = None
+        if k + 1 < len(layers):
+            key = (id(layer), id(layers[k + 1]))
+            if key not in masks:
+                mask = _negated_row_pairs(*layer)
+                if mask is not None and not _equal_column_pairs(layers[k + 1][0]):
+                    mask = None
+                masks[key] = mask
+            mask = masks[key]
+        key = (id(layer), mask is not None, prev is not None)
+        if key not in folded:
+            folded[key] = _fold(*layer, mask, prev is not None)
+        plan.append(folded[key] + (mask is not None,))
+        prev = mask
+    return plan
+
+
+def _fold(A, b, even_rows, halve_cols):
+    """(A, b) restricted to the entries of its even rows (if a mask is
+    given), then to its even columns with indices halved."""
+    if even_rows is None and not halve_cols:
+        return A, b
+    data, indices, indptr = A.data, A.indices, A.indptr
+    rows, cols = A.shape
+    if even_rows is not None:
+        data, indices, indptr = data[even_rows], indices[even_rows], indptr[0::2] // 2
+        b, rows = b[0::2], rows // 2
+    if halve_cols:  # contiguous data, else scipy copies it at every product
+        data, indices, indptr = data[0::2].copy(), indices[0::2] // 2, indptr // 2
+        cols //= 2
+    return sp.csr_matrix((data, indices, indptr), shape=(rows, cols)), b
 
 
 def complexity(net):

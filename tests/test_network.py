@@ -13,16 +13,23 @@ from requnet import (
     InvalidArgument,
     Network,
     NonFiniteEntry,
+    assemble_affine_system,
+    build_reduced_basis,
     complexity,
     identity_network,
+    inversion_network,
     load_network,
     make_network,
     mult_network,
+    parallelize,
+    power_network,
     realize,
     realize_batch,
     requ,
     save_network,
+    solution_network,
 )
+from requnet.network import _fold_plan
 
 rng = np.random.default_rng(1207)
 
@@ -470,3 +477,127 @@ def test_trusted_network_checks_that_shapes_chain():
         Network._trusted(net.layers[::-1])
     with pytest.raises(EmptyNetwork):
         Network._trusted(())
+
+
+@pytest.mark.parametrize("chunk", [0, -1, 2.5])
+def test_realize_batch_rejects_bad_chunk(chunk):
+    net = make_network([(np.eye(2), np.zeros(2))])
+    with pytest.raises(InvalidArgument):
+        realize_batch(net, np.ones((2, 5)), chunk=chunk)
+
+
+def test_realize_batch_accepts_numpy_integer_chunk():
+    net = make_network([(np.eye(2), np.ones(2))])
+    X = rng.standard_normal((2, 5))
+    assert realize_batch(net, X, chunk=np.int64(2)).tobytes() == (X + 1.0).tobytes()
+
+
+@pytest.fixture(scope="module")
+def fold_nets():
+    """Networks of the calculus, whose hidden layers all come in (z, -z)
+    pairs, each with the scale of input it is built for."""
+    system = assemble_affine_system(9, 2, 0.1)
+    rb = build_reduced_basis(system, np.random.default_rng(303).uniform(0, 1, (8, 4)))
+    rb_net, h_net = solution_network(rb, 1e-3, 1.01 * np.linalg.norm(rb.f_rb))
+    return {
+        "inversion l1": (inversion_network(2, 0.5, 0.9), 0.1 / 2),
+        "inversion l2": (inversion_network(2, 0.5, 0.5), 0.5 / 2),
+        "inversion l7": (inversion_network(3, 1e-3, 0.1), 0.9 / 3),
+        "identity": (identity_network(3, 6), 2.0),
+        "power": (power_network(2, 3), 0.5),
+        "parallel": (
+            parallelize([identity_network(2, 4), power_network(2, 1), mult_network(2, 2, 1)]),
+            1.0,
+        ),
+        "rb_net": (rb_net, 1.0),
+        "h_net": (h_net, 1.0),
+    }
+
+
+def _inputs_with_zeros(n, cols, scale):
+    X = scale * rng.uniform(-1, 1, (n, cols))
+    X[0, ::2] = -0.0
+    X[-1, ::3] = 0.0
+    X[:, 0] = -0.0
+    return X
+
+
+FOLD_NETS = [
+    "inversion l1", "inversion l2", "inversion l7", "identity", "power", "parallel", "rb_net",
+    "h_net",
+]
+
+
+@pytest.mark.parametrize("name", FOLD_NETS)
+def test_every_hidden_layer_of_the_calculus_folds(fold_nets, name):
+    net, _ = fold_nets[name]
+    plan = _fold_plan(net.layers)
+    assert [paired for _, _, paired in plan] == [True] * (net.depth - 1) + [False]
+    assert sum(A.nnz for A, _, _ in plan) < sum(A.nnz for A, _ in net.layers)
+
+
+@pytest.mark.parametrize("name", FOLD_NETS)
+def test_folded_evaluation_is_bit_identical_to_layer_loop(fold_nets, name):
+    net, scale = fold_nets[name]
+    for cols in (1, 15, 16, 17, 128):
+        X = _inputs_with_zeros(net.input_dim, cols, scale)
+        before = X.tobytes()
+        want = _layer_loop(net, X)
+        assert np.isfinite(want).all()
+        for chunk in (None, 1, 16):
+            assert realize_batch(net, X, chunk=chunk).tobytes() == want.tobytes()
+        assert X.tobytes() == before
+    x = _inputs_with_zeros(net.input_dim, 1, scale)[:, 0]
+    assert realize(net, x).tobytes() == _layer_loop(net, x[:, None])[:, 0].tobytes()
+
+
+def _paired_layers(n=3, h=3, m=2):
+    """Input n -> 2h hidden units (w_i x + c_i, -(w_i x + c_i)) -> m outputs
+    weighting each pair equally: the shape the fold looks for."""
+    W, c, V = rng.standard_normal((h, n)), rng.standard_normal(h), rng.standard_normal((m, h))
+    A1 = np.empty((2 * h, n))
+    A1[0::2], A1[1::2] = W, -W
+    b1 = np.empty(2 * h)
+    b1[0::2], b1[1::2] = c, -c
+    return [[A1, b1], [np.repeat(V, 2, axis=1), rng.standard_normal(m)]]
+
+
+def _near_miss(kind):
+    layers = _paired_layers()
+    (A1, b1), (A2, _) = layers
+    if kind == "odd row off by one ulp":
+        A1[1, 0] = np.nextafter(A1[1, 0], np.inf)
+    elif kind == "bias not negated":
+        b1[1] = b1[0]
+    elif kind == "odd hidden width":
+        layers[0] = [np.vstack([A1, A1[:1]]), np.append(b1, b1[0])]
+        layers[1][0] = np.hstack([A2, A2[:, :1]])
+    elif kind == "unequal column pair":
+        A2[0, 3] = np.nextafter(A2[0, 2], np.inf)
+    elif kind == "column pair split across rows":
+        # row 0 stores columns 0, 1, 2 and row 1 columns 3, 4, 5: stored
+        # side by side, (2, 3) looks like a pair but spans two rows
+        layers[1][0] = np.array([[1.5, 1.5, 0.5, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.5, 2.0, 2.0]])
+    elif kind == "dense":
+        return make_network([(rng.standard_normal((6, 3)), rng.standard_normal(6)),
+                             (rng.standard_normal((2, 6)), rng.standard_normal(2))])
+    return make_network(layers)
+
+
+def test_paired_layers_fold():
+    net = make_network(_paired_layers())
+    assert [paired for _, _, paired in _fold_plan(net.layers)] == [True, False]
+
+
+@pytest.mark.parametrize(
+    "kind",
+    ["odd row off by one ulp", "bias not negated", "odd hidden width", "unequal column pair",
+     "column pair split across rows", "dense"],
+)
+def test_near_miss_pairing_does_not_fold(kind):
+    net = _near_miss(kind)
+    assert not any(paired for _, _, paired in _fold_plan(net.layers))
+    X = 3.0 * rng.standard_normal((net.input_dim, 32))
+    want = _layer_loop(net, X)
+    for chunk in (None, 16):
+        assert realize_batch(net, X, chunk=chunk).tobytes() == want.tobytes()
