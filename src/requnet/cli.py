@@ -13,6 +13,7 @@ error, 3 I/O failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -461,21 +462,13 @@ def _u64(text):
     return value
 
 
-def _int_list(text):
+def _number_list(cast, text):
+    """Comma-separated list of cast(token), empty tokens skipped."""
     try:
-        items = [int(tok) for tok in text.split(",") if tok.strip()]
+        items = [cast(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad integer list {text!r}") from exc
-    if not items:
-        raise argparse.ArgumentTypeError("list must be non-empty")
-    return items
-
-
-def _float_list(text):
-    try:
-        items = [float(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad float list {text!r}") from exc
+        kind = "integer" if cast is int else "float"
+        raise argparse.ArgumentTypeError(f"bad {kind} list {text!r}") from exc
     if not items:
         raise argparse.ArgumentTypeError("list must be non-empty")
     return items
@@ -508,8 +501,8 @@ def _build_parser():
     p.set_defaults(func=cmd_invert)
 
     p = sub.add_parser("complexity", help="tabulate network sizes over a grid")
-    p.add_argument("--dims", required=True, type=_int_list)
-    p.add_argument("--eps", required=True, type=_float_list)
+    p.add_argument("--dims", required=True, type=functools.partial(_number_list, int))
+    p.add_argument("--eps", required=True, type=functools.partial(_number_list, float))
     p.add_argument("--delta", required=True, type=float)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_complexity)

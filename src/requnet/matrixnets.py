@@ -252,8 +252,8 @@ def spectral_norm(A, tol=1e-12, max_iter=100000):
     quotient still exceeds tol at the iteration cap.
     """
     A = np.asarray(A, dtype=np.float64)
-    if A.ndim != 2:
-        raise DimensionMismatch("spectral_norm expects a matrix")
+    if A.ndim != 2 or 0 in A.shape:
+        raise DimensionMismatch(f"spectral_norm expects a nonempty matrix, got {A.shape}")
     n = A.shape[1]
     M = A.T @ A
 

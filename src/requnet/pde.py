@@ -10,12 +10,12 @@ Dirichlet boundary.  The Gram matrix G is the unit-coefficient stiffness
 matrix (the H^1_0 seminorm), which makes beta = mu and alpha = mu + 1
 exact spectral bounds for every parametric operator in the box.
 
-The network side composes three exact pieces: a two-layer affine-in-y
-network for the scaled reduced operator, a constant network for the
-reduced load, and the Neumann-series inversion network.  Because the
-operator and load networks are exact, the whole approximation budget is
-spent on the truncated Neumann series, and the end-to-end error against
-the reduced solve stays below the requested epsilon.
+The network side is affine -> Neumann chain -> affine: one exact layer
+for the scaled reduced operator y -> vec(lam * B^rb_y), the Neumann-series
+inversion network, and one exact layer for the constant reduced load,
+vec(B^-1) -> B^-1 f_rb = (f_rb^T kron I_d) vec(B^-1).  The whole
+approximation budget is spent on the truncated Neumann series, so the
+end-to-end error against the reduced solve stays below epsilon.
 """
 
 from __future__ import annotations
@@ -29,15 +29,15 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .calculus import affine_network, concat, identity_network, parallelize, sparse_concat
+from .calculus import affine_network, concat, sparse_concat
 from .errors import (
     DimensionMismatch,
     EmptySnapshotSet,
     InvalidArgument,
     SingularSystem,
 )
-from .matrixnets import _duplicator, inversion_network, mult_network, vec
-from .network import Network, _network_doc, _network_from_doc, realize_batch
+from .matrixnets import inversion_network, vec
+from .network import _network_doc, _network_from_doc, realize_batch
 
 __all__ = [
     "AffineSystem",
@@ -49,7 +49,6 @@ __all__ = [
     "build_reduced_basis",
     "reduced_solve",
     "b_network",
-    "f_network",
     "contraction_network",
     "inv_b_network",
     "solution_network",
@@ -181,9 +180,13 @@ def _stiffness_coo(dofs, kloc, D):
     return mat.tocsr()
 
 
-def _validate_system_args(grid_n, s, mu):
+def _check_grid(grid_n):
     if int(grid_n) != grid_n or grid_n < 3:
         raise InvalidArgument(f"grid_n must be an integer >= 3, got {grid_n}")
+
+
+def _validate_system_args(grid_n, s, mu):
+    _check_grid(grid_n)
     if int(s) != s or s < 1:
         raise InvalidArgument(f"chessboard side s must be an integer >= 1, got {s}")
     if not np.isfinite(mu) or mu <= 0:
@@ -197,8 +200,7 @@ def assemble_load(grid_n, func):
     f_b + f_c) against each hat; for non-linear f this is the usual
     vertex-based approximation.  func must accept numpy arrays.
     """
-    if int(grid_n) != grid_n or grid_n < 3:
-        raise InvalidArgument(f"grid_n must be an integer >= 3, got {grid_n}")
+    _check_grid(grid_n)
     h = 1.0 / (grid_n + 1)
     D = grid_n * grid_n
     f = np.zeros(D)
@@ -395,26 +397,17 @@ def reduced_solve(rb, y):
 
 
 def b_network(rb):
-    """Two-layer network mapping y to vec(lam * B^rb_y) exactly.
+    """Affine layer mapping y to vec(lam * B^rb_y) exactly.
 
-    The affine map y -> Theta y + vec(lam*theta_0), with columns
-    vec(lam*theta_i), after a 2-layer identity on the parameters, so the
-    affine dependence on y survives the activation.  At most
-    8p + (4p+1)d^2 nonzeros.
+    y -> Theta y + vec(lam*theta_0), with columns vec(lam*theta_i); depth
+    1 and at most (p + 1) d^2 nonzeros.
     """
     Theta = np.column_stack([vec(rb.lam * ti) for ti in rb.theta[1:]])
-    return concat(
-        affine_network(Theta, vec(rb.lam * rb.theta[0])), identity_network(rb.p, 2)
-    )
-
-
-def f_network(rb):
-    """Depth-1 constant network emitting the reduced load for every y."""
-    return Network([(sp.csr_matrix((rb.d, rb.p)), rb.f_rb.copy())])
+    return affine_network(Theta, vec(rb.lam * rb.theta[0]))
 
 
 def contraction_network(rb):
-    """Two-layer network mapping y to vec(I - lam * B^rb_y) exactly.
+    """Affine layer mapping y to vec(I - lam * B^rb_y) exactly.
 
     b_network followed by v -> vec I - v; the output is the Neumann-series
     contraction, with spectral norm at most 1 - delta over the box.
@@ -446,12 +439,12 @@ def inv_b_network(rb, epsilon):
 def solution_network(rb, epsilon, C_f):
     """End-to-end solution-map networks (reduced and high-fidelity).
 
-    The reduced variant multiplies the approximate inverse against the
-    exact reduced load, fed by a fan-out of the parameter to both lanes;
-    the high-fidelity variant lifts it through V.  The inverse is built
-    at epsilon/(epsilon*beta + 2*C_f), so the reduced output stays within
-    epsilon of reduced_solve (Euclidean), and the lifted output within
-    epsilon in the G-norm by G-orthonormality of V.
+    The reduced variant applies the exact linear map
+    vec(M) -> M f_rb = (f_rb^T kron I_d) vec(M) to the approximate inverse,
+    fused into its last layer; the high-fidelity variant lifts it through
+    V.  The inverse is built at epsilon/(epsilon*beta + 2*C_f), so the
+    reduced output stays within epsilon of reduced_solve (Euclidean), and
+    the lifted output within epsilon in the G-norm by G-orthonormality of V.
 
     h_net.layers[:-2] are the very (A, b) objects of rb_net.layers[:-1],
     so one evaluation of that shared prefix serves both networks.
@@ -463,12 +456,11 @@ def solution_network(rb, epsilon, C_f):
         raise InvalidArgument(
             f"C_f must be positive and at least |f_rb| = {f_norm:.6g}, got {C_f}"
         )
-    # With the exact load network the budget epsilon*C_f' / (eps*beta + 2C_f)
-    # already sits below epsilon/2; clamp only to keep the argument in (0,1).
+    # The load map is exact, so the error is at most eps_prime/2 * |f_rb|
+    # <= epsilon/4; clamp only to keep the argument in (0,1).
     eps_prime = min(epsilon / (epsilon * rb.beta + 2.0 * C_f), 0.9)
-    lanes = parallelize([inv_b_network(rb, eps_prime), f_network(rb)])
-    core = sparse_concat(mult_network(rb.d, rb.d, 1), lanes)
-    rb_net = concat(core, _duplicator(rb.p))
+    load = affine_network(sp.kron(rb.f_rb[None, :], sp.eye(rb.d), format="csr"))
+    rb_net = concat(load, inv_b_network(rb, eps_prime))
     h_net = sparse_concat(affine_network(sp.csr_matrix(rb.V)), rb_net)
     return rb_net, h_net
 
@@ -631,4 +623,17 @@ def load_reduced_network(path):
         )
     except (IndexError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise InvalidArgument(f"malformed reduced-basis document: {exc!r}") from exc
+    _check_reduced_payload(net, rb)
     return net, rb
+
+
+def _check_reduced_payload(net, rb):
+    """Raise InvalidArgument unless V is D x d, theta holds p + 1 >= 2
+    d x d matrices, f_rb has length d and net maps p inputs to d or D."""
+    shapes = {t.shape for t in rb.theta}
+    ok = rb.V.ndim == 2 and shapes == {(rb.d, rb.d)} and rb.f_rb.shape == (rb.d,)
+    if not (ok and net.input_dim == rb.p and net.output_dim in (rb.d, rb.V.shape[0])):
+        raise InvalidArgument(
+            f"inconsistent reduced network: V {rb.V.shape}, theta {sorted(shapes)}, "
+            f"f_rb {rb.f_rb.shape}, network {net.input_dim} -> {net.output_dim} values"
+        )

@@ -156,7 +156,7 @@ def test_parametric_diffusion_end_to_end(tmp_path):
     rb = build_reduced_basis(system, rng.random((200, 9)), 2e-2)
     assert rb.d == doc["d"]
     rep = complexity(b_network(rb))
-    assert rep.total_nnz <= 8 * rb.p + (4 * rb.p + 1) * rb.d**2
+    assert rep.depth == 1 and rep.total_nnz <= (rb.p + 1) * rb.d**2
     assert time.perf_counter() - start < 180.0
 
 

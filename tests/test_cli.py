@@ -183,6 +183,33 @@ def test_complexity_rejects_bad_dims(tmp_path):
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize(
+    "dims, eps, message",
+    [
+        ("2,x", "1e-2", "bad integer list '2,x'"),
+        ("2", "1e-2,y", "bad float list '1e-2,y'"),
+        (" , ", "1e-2", "list must be non-empty"),
+        ("2", ",", "list must be non-empty"),
+    ],
+)
+def test_complexity_rejects_bad_lists(tmp_path, capsys, dims, eps, message):
+    argv = ["complexity", "--dims", dims, "--eps", eps, "--delta", "0.5",
+            "--out", str(tmp_path / "t.csv")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_complexity_skips_empty_list_tokens(tmp_path):
+    out = tmp_path / "t.csv"
+    argv = ["complexity", "--dims", "2,,3,", "--eps", " 1e-2 ,", "--delta", "0.5",
+            "--out", str(out)]
+    assert main(argv) == 0
+    with open(out, newline="") as fh:
+        assert [r["d"] for r in csv.DictReader(fh)] == ["2", "3"]
+
+
 # ---------------------------------------------------------------------- pde
 
 

@@ -416,6 +416,12 @@ def test_spectral_norm_rejects_vector():
         spectral_norm(np.arange(4.0))
 
 
+@pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
+def test_spectral_norm_rejects_empty_matrix(shape):
+    with pytest.raises(DimensionMismatch):
+        spectral_norm(np.zeros(shape))
+
+
 def test_spectral_norm_reports_nonconvergence():
     with pytest.raises(ConvergenceFailure):
         spectral_norm(rng.standard_normal((6, 6)), tol=1e-12, max_iter=2)

@@ -17,6 +17,7 @@ from requnet import (
     InvalidArgument,
     Network,
     SingularSystem,
+    affine_network,
     assemble_affine_system,
     assemble_load,
     b_network,
@@ -24,7 +25,6 @@ from requnet import (
     complexity,
     contraction_network,
     evaluate_error,
-    f_network,
     inv_b_network,
     load_reduced_network,
     matr,
@@ -323,8 +323,8 @@ def test_reduced_operator_spectrum_sandwich(sys9, rb9):
 
 
 def test_b_network_zero_parameter_exact(rb9):
-    # the four-unit identity gadget cancels exactly at y = 0, leaving the
-    # bias vec(lam * theta_0) bit for bit
+    # Theta y is exactly zero at y = 0, leaving the bias vec(lam * theta_0)
+    # bit for bit
     net = b_network(rb9)
     out = realize(net, np.zeros(4))
     assert (out == vec(rb9.lam * rb9.theta[0])).all()
@@ -341,22 +341,16 @@ def test_b_network_matches_reduced_operator(rb9):
 def test_b_network_complexity(rb9):
     rep = complexity(b_network(rb9))
     p, d = rb9.p, rb9.d
-    assert rep.depth == 2
-    assert rep.layer_nnz[0] == 8 * p
-    assert rep.total_nnz == 8 * p + (4 * p + 1) * d * d
+    assert rep.depth == 1
+    assert rep.total_nnz == sum(np.count_nonzero(ti) for ti in rb9.theta)
+    assert rep.total_nnz <= (p + 1) * d * d
 
 
 def _hand_built_operator_layers(rb):
-    """Gadget weights of b_network written out directly: per parameter the
-    columns (1, -1, 1, -1) and bias (1, -1, -1, 1), then each column
-    vec(lam * theta_i) times (1, 1, -1, -1)/4, bias vec(lam * theta_0)."""
-    omega = np.array([1.0, -1.0, 1.0, -1.0])
-    gamma = np.array([1.0, -1.0, -1.0, 1.0])
-    beta = np.array([0.25, 0.25, -0.25, -0.25])
-    A1 = sp.kron(sp.eye(rb.p), sp.csr_matrix(omega.reshape(4, 1)), format="csr")
-    blocks = [np.outer(vec(rb.lam * ti), beta) for ti in rb.theta[1:]]
-    A2 = sp.csr_matrix(np.hstack(blocks))
-    return [(A1, np.tile(gamma, rb.p)), (A2, vec(rb.lam * rb.theta[0]))]
+    """b_network written out directly: one affine layer whose column i is
+    the column-major vec(lam * theta_i), bias vec(lam * theta_0)."""
+    A = np.stack([(rb.lam * ti).T.ravel() for ti in rb.theta[1:]], axis=1)
+    return [(sp.csr_matrix(A), (rb.lam * rb.theta[0]).T.ravel())]
 
 
 def assert_same_layers(net, want):
@@ -374,19 +368,9 @@ def test_b_network_weights_are_the_gadget_formula(rb9):
 
 
 def test_contraction_network_weights_negate_b_network(rb9):
-    (A1, b1), (A2, b2) = _hand_built_operator_layers(rb9)
-    want = [(A1, b1), (-A2, vec(np.eye(rb9.d)) - b2)]
+    [(A, b)] = _hand_built_operator_layers(rb9)
+    want = [(-A, vec(np.eye(rb9.d)) - b)]
     assert_same_layers(contraction_network(rb9), want)
-
-
-def test_f_network_is_constant(rb9):
-    net = f_network(rb9)
-    rng = np.random.default_rng(71)
-    for _ in range(5):
-        assert (realize(net, rng.uniform(0, 1, 4)) == rb9.f_rb).all()
-    rep = complexity(net)
-    assert rep.depth == 1
-    assert rep.total_nnz <= rb9.d
 
 
 def test_contraction_network_matches_and_contracts(rb9):
@@ -425,7 +409,7 @@ def test_inv_b_depth_and_error_budget(rb9):
     eps = 1e-3
     net = inv_b_network(rb9, eps)
     l = neumann_length(min(eps / (2 * rb9.lam), 0.9), rb9.delta / 2).l
-    assert complexity(net).depth == 2 * l + 3
+    assert complexity(net).depth == 2 * l + 2
     rng = np.random.default_rng(91)
     for _ in range(10):
         y = rng.uniform(0, 1, 4)
@@ -465,8 +449,26 @@ def test_solution_network_depth_relation(rb9):
     rb_net, h_net = solution_network(rb9, eps, C_f)
     eps_prime = min(eps / (eps * rb9.beta + 2.0 * C_f), 0.9)
     l = neumann_length(min(eps_prime / (2 * rb9.lam), 0.9), rb9.delta / 2).l
-    assert complexity(rb_net).depth == 2 * l + 5
+    assert complexity(rb_net).depth == 2 * l + 2
     assert complexity(h_net).depth == complexity(rb_net).depth + 1
+
+
+def test_load_layer_is_linear_in_the_inverse(rb9):
+    """rb_net is inv_b_network followed by the exact linear map
+    vec(M) -> M f_rb; every stage's depth is pinned."""
+    eps = 1e-3
+    C_f = 1.01 * np.linalg.norm(rb9.f_rb)
+    rb_net, h_net = solution_network(rb9, eps, C_f)
+    eps_prime = min(eps / (eps * rb9.beta + 2.0 * C_f), 0.9)
+    inv = inv_b_network(rb9, eps_prime)
+    l = neumann_length(min(eps_prime / (2 * rb9.lam), 0.9), rb9.delta / 2).l
+    depths = [net.depth for net in (contraction_network(rb9), inv, rb_net, h_net)]
+    assert depths == [1, 2 * l + 2, 2 * l + 2, 2 * l + 3]
+    rng = np.random.default_rng(75)
+    for _ in range(10):
+        y = rng.uniform(0, 1, 4)
+        want = matr(realize(inv, y), rb9.d, rb9.d) @ rb9.f_rb
+        np.testing.assert_allclose(realize(rb_net, y), want, rtol=1e-12)
 
 
 def test_solution_network_shares_prefix(rb9):
@@ -659,7 +661,7 @@ def test_load_reduced_network_without_truncation_sup(tmp_path, sys9):
     rb = build_reduced_basis(sys9, rng.uniform(0, 1, (8, 4)), drop_tol=0.5)
     assert rb.truncation_sup > 0.0
     path = tmp_path / "solution.json"
-    save_reduced_network(path, f_network(rb), rb)
+    save_reduced_network(path, affine_network(sp.csr_matrix((rb.d, rb.p)), rb.f_rb), rb)
     assert load_reduced_network(path)[1].truncation_sup == rb.truncation_sup
 
     with open(path, encoding="utf-8") as fh:
@@ -718,5 +720,29 @@ def test_load_reduced_rejects_malformed_document(tmp_path, edit):
     edit(doc)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
+    with pytest.raises(InvalidArgument):
+        load_reduced_network(path)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda rb: dict(V=rb.V[:, :, None]),
+        lambda rb: dict(theta=rb.theta[:1]),
+        lambda rb: dict(theta=tuple(t[:3, :3] for t in rb.theta)),
+        lambda rb: dict(f_rb=rb.f_rb[:-1]),
+        lambda rb: dict(theta=rb.theta[:2]),
+        lambda rb: dict(V=rb.V[:-1]),
+    ],
+    ids=["V-3d", "theta-one-entry", "theta-3x3", "f_rb-short", "p-mismatch", "V-one-row-fewer"],
+)
+def test_load_reduced_rejects_inconsistent_payload(tmp_path, rb9, edit):
+    """Each payload parses, but disagrees with itself or with the network
+    (p = 4 inputs to D outputs)."""
+    net = affine_network(np.ones((rb9.V.shape[0], rb9.p)))
+    path = tmp_path / "inconsistent.json"
+    save_reduced_network(path, net, rb9)
+    assert load_reduced_network(path)[1].d == rb9.d
+    save_reduced_network(path, net, dataclasses.replace(rb9, **edit(rb9)))
     with pytest.raises(InvalidArgument):
         load_reduced_network(path)
