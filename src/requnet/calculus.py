@@ -23,7 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DimensionMismatch, EmptyList, InvalidArgument
-from .network import Network, _seal
+from .network import Network, _is_size, _seal
 
 __all__ = [
     "OMEGA1",
@@ -55,7 +55,9 @@ def concat(phi1, phi2):
     A1, b1 = phi1.layers[0]
     AL, bL = phi2.layers[-1]
     fused = _seal(A1 @ AL, A1 @ bL + b1)
-    return Network._trusted(phi2.layers[:-1] + (fused,) + phi1.layers[1:])
+    layers = phi2.layers[:-1] + (fused,) + phi1.layers[1:]
+    # negation is exact and the product keeps equal rows and columns equal
+    return Network._trusted(layers, phi2._paired[:-1] + phi1._paired)
 
 
 def identity_network(n, L):
@@ -64,7 +66,7 @@ def identity_network(n, L):
     L = 1 is the affine identity; L >= 2 threads each coordinate through
     the 4-unit gadget L-1 times, for exactly 20nL - 28n nonzeros.
     """
-    if n < 1 or L < 1:
+    if not (_is_size(n) and _is_size(L)):
         raise InvalidArgument(f"need n >= 1 and L >= 1, got n={n}, L={L}")
     return extend(affine_network(sp.eye(n, format="csr")), L)
 
@@ -87,9 +89,9 @@ def extend(phi, L):
     becomes (W A, W b + Gamma), followed by k - 1 layers (W B, Gamma) and a
     final (B, 0): each output passes through the gadget k times.
     """
+    if not _is_size(L, phi.depth):
+        raise InvalidArgument(f"cannot extend depth {phi.depth} network to {L!r}")
     k = L - phi.depth
-    if k < 0:
-        raise InvalidArgument(f"cannot extend depth {phi.depth} network to {L}")
     if k == 0:
         return phi
     n = phi.output_dim
@@ -100,7 +102,8 @@ def extend(phi, L):
     A, b = phi.layers[-1]
     first = _seal(W @ A, W @ b + Gamma)
     middle = (_seal(W @ B, Gamma),) * (k - 1) if k > 1 else ()
-    return Network._trusted(phi.layers[:-1] + (first,) + middle + (_seal(B, np.zeros(n)),))
+    layers = phi.layers[:-1] + (first,) + middle + (_seal(B, np.zeros(n)),)
+    return Network._trusted(layers, phi._paired[:-1] + (True,) * k + (False,))
 
 
 def _sparse_chain(stages):
@@ -108,14 +111,15 @@ def _sparse_chain(stages):
     stages of depth >= 2, with each join's two layers computed once per
     distinct stage: a repeated stage repeats the same layer objects."""
     J, K = {}, {}
-    layers = stages[0].layers[:-1]
+    layers, paired = stages[0].layers[:-1], stages[0]._paired[:-1]
     for inner, outer in zip(stages, stages[1:]):
         if id(inner) not in J or id(outer) not in K:
             joined = sparse_concat(outer, inner).layers[inner.depth - 1 : inner.depth + 1]
             J.setdefault(id(inner), joined[0])
             K.setdefault(id(outer), joined[1])
         layers += (J[id(inner)], K[id(outer)]) + outer.layers[1:-1]
-    return Network._trusted(layers + stages[-1].layers[-1:])
+        paired += (True,) + outer._paired[:-1]  # J is an extend gadget layer
+    return Network._trusted(layers + stages[-1].layers[-1:], paired + (False,))
 
 
 def parallelize(phis):
@@ -134,7 +138,8 @@ def parallelize(phis):
     # a level whose lane layers repeat an earlier level's repeats its stack
     stacks = {tuple(map(id, lanes)): lanes for lanes in levels}
     stacks = {key: _stack(lanes) for key, lanes in stacks.items()}
-    return Network._trusted(stacks[tuple(map(id, lanes))] for lanes in levels)
+    layers = [stacks[tuple(map(id, lanes))] for lanes in levels]
+    return Network._trusted(layers, [all(p._paired[k] for p in padded) for k in range(L)])
 
 
 def _stack(lanes):

@@ -271,8 +271,6 @@ def run_matrix_suite(seed, instances=200):
 
 def run_inversion_suite(seed, dim=8, eps=1e-3, delta=0.2, samples=20, grid=20):
     """Neumann-plan and inversion-network checks against dense oracles."""
-    if dim < 1:
-        raise InvalidArgument(f"dim must be >= 1, got {dim}")
     rng = np.random.default_rng([seed, 3])
     checks = []
 
@@ -390,8 +388,6 @@ def cmd_invert(args):
 def cmd_complexity(args):
     rows = []
     for d in args.dims:
-        if d < 1:
-            raise InvalidArgument(f"dims entries must be >= 1, got {d}")
         for eps in args.eps:
             plan = neumann_length(eps, args.delta)
             rep = complexity(inversion_network(d, eps, args.delta))
@@ -417,9 +413,10 @@ def cmd_pde(args):
     rb_net, h_net = solution_network(rb, args.eps, C_f)
 
     test = rng.random((args.test, system.p))
-    shared = requ(realize_batch(Network._trusted(rb_net.layers[:-1]), test.T, chunk=_EVAL_CHUNK))
-    outs_rb = realize_batch(Network._trusted(rb_net.layers[-1:]), shared)
-    outs_h = realize_batch(Network._trusted(h_net.layers[-2:]), shared)
+    prefix = Network._trusted(rb_net.layers[:-1], rb_net._paired[:-2] + (False,))
+    shared = requ(realize_batch(prefix, test.T, chunk=_EVAL_CHUNK))
+    outs_rb = realize_batch(Network._trusted(rb_net.layers[-1:], (False,)), shared)
+    outs_h = realize_batch(Network._trusted(h_net.layers[-2:], h_net._paired[-2:]), shared)
     rep_euclid = evaluate_error(
         rb, rb_net, test, system.G, "euclidean-rb", target_eps=args.eps, outputs=outs_rb
     )

@@ -36,8 +36,8 @@ from .calculus import (
     extend,
     parallelize,
 )
-from .errors import ConvergenceFailure, DimensionMismatch, InvalidArgument
-from .network import Network
+from .errors import ConvergenceFailure, DimensionMismatch, InvalidArgument, NonFiniteEntry
+from .network import Network, _is_size, _seal
 
 __all__ = [
     "vec",
@@ -86,8 +86,8 @@ def mult_network(d, n, l):
     One product gadget per scalar term A_ik * B_kj: 4*d*n*l hidden units,
     first-layer nonzeros exactly 8*d*n*l, last-layer 4*d*n*l.
     """
-    if d < 1 or n < 1 or l < 1:
-        raise InvalidArgument(f"need d, n, l >= 1, got {(d, n, l)}")
+    if not all(map(_is_size, (d, n, l))):
+        raise InvalidArgument(f"need integers d, n, l >= 1, got {(d, n, l)}")
     dl = d * l
     # one gadget per (output m = j*d + i, summand k), rows grouped 4 apart
     mm = np.repeat(np.arange(dl), n)
@@ -100,16 +100,11 @@ def mult_network(d, n, l):
     r = np.concatenate([rows, rows])
     c = np.concatenate([np.repeat(col_a, 4), np.repeat(col_b, 4)])
     vals = np.concatenate([np.tile(OMEGA1, dl * n), np.tile(GAMMA1, dl * n)])
-    A1 = sp.coo_matrix((vals, (r, c)), shape=(4 * dl * n, n * (d + l))).tocsr()
-    A2 = sp.csr_matrix(
-        (
-            np.tile(BETA1, dl * n),
-            np.arange(4 * dl * n),
-            np.arange(0, 4 * dl * n + 1, 4 * n),
-        ),
-        shape=(dl, 4 * dl * n),
-    )
-    return Network([(A1, np.zeros(4 * dl * n)), (A2, np.zeros(dl))])
+    h = 4 * dl * n
+    A1 = sp.coo_matrix((vals, (r, c)), shape=(h, n * (d + l))).tocsr()
+    ptr = np.arange(0, h + 1, 4 * n)  # output m sums its n gadgets
+    A2 = sp.csr_matrix((np.tile(BETA1, dl * n), np.arange(h), ptr), shape=(dl, h))
+    return Network._trusted([_seal(A1, np.zeros(h)), _seal(A2, np.zeros(dl))], (True, False))
 
 
 def _duplicator(n):
@@ -120,8 +115,6 @@ def _duplicator(n):
 
 def square_network(d):
     """2-layer network computing vec A -> vec(A @ A) exactly (A is d x d)."""
-    if d < 1:
-        raise InvalidArgument(f"need d >= 1, got {d}")
     return concat(mult_network(d, d, d), _duplicator(d * d))
 
 
@@ -130,8 +123,8 @@ def power_network(d, j):
 
     Depth exactly 2j; nonzeros at most 64*j*d^3.
     """
-    if d < 1 or j < 1:
-        raise InvalidArgument(f"need d >= 1 and j >= 1, got d={d}, j={j}")
+    if not _is_size(j):  # square_network checks d
+        raise InvalidArgument(f"need an integer j >= 1, got {j!r}")
     return _sparse_chain([square_network(d)] * j)
 
 
@@ -152,6 +145,8 @@ def neumann_length(epsilon, delta):
         raise InvalidArgument(f"epsilon must be in (0,1), got {epsilon}")
     if not (0.0 < delta < 1.0):
         raise InvalidArgument(f"delta must be in (0,1), got {delta}")
+    if 1.0 - delta == 1.0 or delta * epsilon == 0.0:  # log would be 0 or -inf
+        raise InvalidArgument(f"delta {delta!r} is too small for double precision")
     terms = math.log(delta * epsilon) / math.log(1.0 - delta)
     l = math.ceil(math.log2(terms + 1.0))
     return NeumannPlan(epsilon=float(epsilon), delta=float(delta), l=int(l))
@@ -207,8 +202,8 @@ def inversion_network(d, epsilon, delta):
     (_inversion_nnz_exact): (96l - 120)d^3 + (12l + 20)d^2 + (40 - 24l)d
     for l >= 2, and 32d^2 - 2d for l = 1.
     """
-    if d < 1:
-        raise InvalidArgument(f"need d >= 1, got {d}")
+    if not _is_size(d):
+        raise InvalidArgument(f"need an integer d >= 1, got {d!r}")
     l = neumann_length(epsilon, delta).l
     if l == 1:
         # the single factor A + I is one affine layer; pad so the depth
@@ -233,8 +228,8 @@ def neumann_partial_sum_oracle(A, l):
     A = np.asarray(A, dtype=np.float64)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise DimensionMismatch("need a square matrix")
-    if l < 1:
-        raise InvalidArgument(f"need l >= 1, got {l}")
+    if not _is_size(l):
+        raise InvalidArgument(f"need an integer l >= 1, got {l!r}")
     total = np.eye(A.shape[0])
     term = np.eye(A.shape[0])
     for _ in range(2**l - 1):
@@ -248,14 +243,18 @@ def spectral_norm(A, tol=1e-12, max_iter=100000):
 
     Deterministic start vector (1, ..., 1)/sqrt(n); if the iterate ever
     collapses to zero the iteration restarts from successive basis vectors.
-    Raises ConvergenceFailure if the relative change in the Rayleigh
-    quotient still exceeds tol at the iteration cap.
+    Raises NonFiniteEntry at once if A^T A holds NaN or infinite entries,
+    and ConvergenceFailure if the relative change in the Rayleigh quotient
+    still exceeds tol at the iteration cap.
     """
     A = np.asarray(A, dtype=np.float64)
     if A.ndim != 2 or 0 in A.shape:
         raise DimensionMismatch(f"spectral_norm expects a nonempty matrix, got {A.shape}")
     n = A.shape[1]
-    M = A.T @ A
+    with np.errstate(over="ignore", invalid="ignore"):  # raised on below instead
+        M = A.T @ A
+    if not np.isfinite(M).all():
+        raise NonFiniteEntry("A^T A holds NaN or infinite entries (A does, or they overflow)")
 
     def start(k):
         if k == 0:

@@ -42,6 +42,11 @@ def requ(x):
     return np.square(np.maximum(x, 0.0))
 
 
+def _is_size(value, minimum=1):
+    """Whether value is an integer >= minimum (a numpy one too, not a bool)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= minimum
+
+
 def _owned(matrix, b):
     """The caller's layer as CSR float64 and float64 bias; the caller's own
     arrays are copied unless read-only (the matrix also canonical)."""
@@ -80,22 +85,27 @@ class Network:
     validated on construction and safe to share across threads; all
     evaluation is pure.  The CSR arrays and biases are read-only, so the
     calculus passes its operands' layers on to its results as they are.
+
+    _paired flags each layer whose rows are exact (z, -z) pairs and whose
+    successor weights columns 2i and 2i + 1 equally (never the last layer).
     """
 
-    __slots__ = ("layers", "input_dim", "output_dim")
+    __slots__ = ("layers", "input_dim", "output_dim", "_paired")
 
     def __init__(self, layers):
-        self._set_layers(tuple(_seal(*_owned(A, b)) for A, b in layers))
+        layers = tuple(_seal(*_owned(A, b)) for A, b in layers)
+        paired = [_is_paired(*layer, nxt) for layer, (nxt, _) in zip(layers, layers[1:])]
+        self._set_layers(layers, paired + [False])
 
     @classmethod
-    def _trusted(cls, layers):
-        """Network of validated layers, or fresh ones passed through _seal,
-        taken as they are; only checks that adjacent shapes chain."""
+    def _trusted(cls, layers, paired):
+        """Network of validated (or freshly _sealed) layers and their pairing
+        flags, taken as they are; only checks that adjacent shapes chain."""
         net = object.__new__(cls)
-        net._set_layers(tuple(layers))
+        net._set_layers(tuple(layers), paired)
         return net
 
-    def _set_layers(self, layers):
+    def _set_layers(self, layers, paired):
         if not layers:
             raise EmptyNetwork("a network needs at least one layer")
         for (A, _), (nxt, _) in zip(layers, layers[1:]):
@@ -104,6 +114,7 @@ class Network:
                     f"layer expects {nxt.shape[1]} inputs but previous layer emits {A.shape[0]}"
                 )
         object.__setattr__(self, "layers", layers)
+        object.__setattr__(self, "_paired", tuple(paired))
         object.__setattr__(self, "input_dim", layers[0][0].shape[1])
         object.__setattr__(self, "output_dim", layers[-1][0].shape[0])
 
@@ -168,17 +179,18 @@ def realize_batch(net, X, chunk=None):
     on NaN or infinite inputs.
 
     The calculus emits hidden units in pairs (z, -z) that the next layer
-    weights equally, since sigma2(z) + sigma2(-z) = z^2.  From 16 columns
-    up, each hidden layer whose pairing _fold_plan verifies by exact array
-    comparison is evaluated once per pair: its even rows, then z^2, then
-    the next layer's even columns, a quarter of the multiply-adds.  The
-    outputs are bit-identical to the unfolded loop: negation is exact, so
-    one of sigma2(z), sigma2(-z) is exactly 0, and the dropped term c * 0
-    is a signed zero added to a row sum that starts from +0 and so never
-    holds -0.  Below 16 columns the plan's O(nnz) passes cost more than
-    they save: over inversion networks at d 4-16 (l 6-9) and 8 columns,
-    plans plus folded evaluation took 56 ms against 51 ms unfolded, and at
-    16 columns 63 ms against 79 ms (one BLAS thread, 2-core x86 machine).
+    weights equally, since sigma2(z) + sigma2(-z) = z^2, and flags them in
+    net._paired as it builds them (make_network and load_network check
+    once, at construction).  From 16 columns up, each flagged layer is
+    evaluated once per pair: its even rows, then z^2, then the next layer's
+    even columns, a quarter of the multiply-adds.  The outputs are
+    bit-identical to the unfolded loop: negation is exact, so one of
+    sigma2(z), sigma2(-z) is exactly 0, and the dropped term c * 0 is a
+    signed zero added to a row sum that starts from +0 and so never holds
+    -0.  Below 16 columns the layers run as stored: on small networks the
+    fold's per-layer gathers cost more than they save (inversion networks
+    at d 2-4 plus a 16-128-128-16 dense one, 8 columns: 1.0 ms folded, 0.5
+    ms unfolded; 2-core x86, one BLAS thread).
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] != net.input_dim:
@@ -187,15 +199,10 @@ def realize_batch(net, X, chunk=None):
         )
     if not np.isfinite(X).all():
         raise NonFiniteEntry("input contains NaN or infinite entries")
-    if chunk is not None and (
-        isinstance(chunk, bool) or not isinstance(chunk, numbers.Integral) or chunk < 1
-    ):
+    if chunk is not None and not _is_size(chunk):
         raise InvalidArgument(f"chunk must be a positive integer, got {chunk!r}")
     n = X.shape[1]
-    if n >= _FOLD_MIN_COLS:
-        plan = _fold_plan(net.layers)
-    else:
-        plan = [(A, b, False) for A, b in net.layers]
+    plan = _fold_plan(net) if n >= _FOLD_MIN_COLS else [(A, b, False) for A, b in net.layers]
     if chunk is None or n <= chunk:
         return _evaluate(plan, X)
     blocks = [_evaluate(plan, X[:, j : j + chunk]) for j in range(0, n, chunk)]
@@ -214,73 +221,55 @@ def _evaluate(plan, X):
     return X
 
 
-def _negated_row_pairs(A, b):
-    """Mask of the entries in A's even rows if every odd row of (A, b) is
-    exactly the negation of the row before it, else None."""
-    counts = np.diff(A.indptr)
+def _is_paired(A, b, nxt):
+    """Whether every odd row of (A, b) is exactly the negation of the row
+    before it, and nxt's stored entries come in adjacent pairs at columns
+    (2i, 2i + 1) with equal values, each pair inside one row."""
+    counts, idx = np.diff(A.indptr), nxt.indices
     if A.shape[0] % 2 or not np.array_equal(counts[1::2], counts[0::2]):
-        return None
+        return False
     even = np.repeat(np.arange(A.shape[0]) % 2 == 0, counts)
-    if (
+    return (
         np.array_equal(b[1::2], -b[0::2])
         and np.array_equal(A.indices[~even], A.indices[even])
         and np.array_equal(A.data[~even], -A.data[even])
-    ):
-        return even
-    return None
-
-
-def _equal_column_pairs(A):
-    """Whether A's stored entries come in adjacent pairs at columns
-    (2i, 2i + 1) with equal values, each pair inside one row."""
-    idx = A.indices
-    return (
-        not (A.indptr % 2).any()
+        and not (nxt.indptr % 2).any()
         and not (idx[0::2] % 2).any()
         and np.array_equal(idx[1::2], idx[0::2] + 1)
-        and np.array_equal(A.data[1::2], A.data[0::2])
+        and np.array_equal(nxt.data[1::2], nxt.data[0::2])
     )
 
 
-def _fold_plan(layers):
-    """The (A, b, paired) triples realize_batch evaluates for these layers.
+def _fold_plan(net):
+    """The (A, b, paired) triples realize_batch evaluates for net.
 
-    A hidden layer is paired when its rows come in negated pairs and the
-    next layer's columns in equal pairs; it then keeps its even rows and
-    its successor keeps its even columns.  Unpaired layers stay as they
-    are.  Shared layer objects are checked and folded once.
+    A layer flagged in net._paired keeps its even rows and its successor
+    keeps its even columns; other layers stay as they are.  Shared layer
+    objects are folded once.
     """
-    masks, folded, plan = {}, {}, []
-    prev = None
-    for k, layer in enumerate(layers):
-        mask = None
-        if k + 1 < len(layers):
-            key = (id(layer), id(layers[k + 1]))
-            if key not in masks:
-                mask = _negated_row_pairs(*layer)
-                if mask is not None and not _equal_column_pairs(layers[k + 1][0]):
-                    mask = None
-                masks[key] = mask
-            mask = masks[key]
-        key = (id(layer), mask is not None, prev is not None)
+    folded, plan = {}, []
+    prev = False
+    for layer, paired in zip(net.layers, net._paired):
+        key = (id(layer), paired, prev)
         if key not in folded:
-            folded[key] = _fold(*layer, mask, prev is not None)
-        plan.append(folded[key] + (mask is not None,))
-        prev = mask
+            folded[key] = _fold(*layer, paired, prev)
+        plan.append(folded[key] + (paired,))
+        prev = paired
     return plan
 
 
-def _fold(A, b, even_rows, halve_cols):
-    """(A, b) restricted to the entries of its even rows (if a mask is
-    given), then to its even columns with indices halved."""
-    if even_rows is None and not halve_cols:
+def _fold(A, b, even_rows, even_cols):
+    """(A, b) restricted to its even rows, then to its even columns with
+    indices halved, as asked; the pairing flags make both exact."""
+    if not (even_rows or even_cols):
         return A, b
     data, indices, indptr = A.data, A.indices, A.indptr
     rows, cols = A.shape
-    if even_rows is not None:
-        data, indices, indptr = data[even_rows], indices[even_rows], indptr[0::2] // 2
+    if even_rows:
+        keep = np.repeat(np.arange(rows) % 2 == 0, np.diff(indptr))
+        data, indices, indptr = data[keep], indices[keep], indptr[0::2] // 2
         b, rows = b[0::2], rows // 2
-    if halve_cols:  # contiguous data, else scipy copies it at every product
+    if even_cols:  # contiguous data, else scipy copies it at every product
         data, indices, indptr = data[0::2].copy(), indices[0::2] // 2, indptr // 2
         cols //= 2
     return sp.csr_matrix((data, indices, indptr), shape=(rows, cols)), b
@@ -354,8 +343,15 @@ def _network_from_doc(doc):
     return net
 
 
+def _read_doc(path):
+    """The JSON document at path; InvalidArgument if it is not UTF-8 JSON."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise InvalidArgument(f"malformed network document: {exc}") from exc
+
+
 def load_network(path):
     """Read a network written by save_network; older dense "A" layers load too."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    return _network_from_doc(doc)
+    return _network_from_doc(_read_doc(path))

@@ -37,7 +37,7 @@ from .errors import (
     SingularSystem,
 )
 from .matrixnets import inversion_network, vec
-from .network import _network_doc, _network_from_doc, realize_batch
+from .network import _network_doc, _network_from_doc, _read_doc, realize_batch
 
 __all__ = [
     "AffineSystem",
@@ -599,8 +599,7 @@ def save_reduced_network(path, net, rb):
 
 def load_reduced_network(path):
     """Read a (network, reduced basis) pair written by save_reduced_network."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = _read_doc(path)
     net = _network_from_doc(doc)
     try:
         payload = doc["reduced_basis"]

@@ -175,6 +175,15 @@ def test_complexity_bound_is_exact_at_l1(tmp_path):
         assert int(r["nnz"]) == int(r["bound"]) == 32 * d * d - 2 * d
 
 
+@pytest.mark.parametrize("command", [["invert", "--dim", "2"], ["complexity", "--dims", "2"]])
+def test_delta_too_small_for_double_precision_exits_2(tmp_path, capsys, command):
+    # 1 - 1e-17 rounds to 1, so the length rule would divide by log(1) = 0
+    args = command + ["--eps", "1e-3", "--delta", "1e-17", "--out", str(tmp_path / "o")]
+    assert main(args) == 2
+    assert "too small for double precision" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_complexity_rejects_bad_dims(tmp_path):
     proc = run_cli(
         "complexity", "--dims", "0,2", "--eps", "1e-2", "--delta", "0.5",

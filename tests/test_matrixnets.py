@@ -12,10 +12,12 @@ from requnet import (
     ConvergenceFailure,
     DimensionMismatch,
     InvalidArgument,
+    NonFiniteEntry,
     affine_network,
     complexity,
     concat,
     extend,
+    identity_network,
     inversion_network,
     matr,
     mult_network,
@@ -244,6 +246,14 @@ def test_neumann_length_domain():
             neumann_length(eps, delta)
 
 
+@pytest.mark.parametrize("eps, delta", [(1e-3, 1e-17), (0.5, 1e-300), (5e-324, 0.4)])
+def test_neumann_length_rejects_what_double_precision_cannot_plan(eps, delta):
+    # 1 - delta rounds to 1, or delta * eps underflows to 0: the closed form
+    # would divide by log(1) = 0 or take log(0)
+    with pytest.raises(InvalidArgument):
+        neumann_length(eps, delta)
+
+
 def test_neumann_length_tail_invariant_grid():
     # the whole point of l: the dropped tail (1-delta)^(2^l)/delta is under
     # the accuracy target for every (epsilon, delta) in the open unit square
@@ -411,6 +421,37 @@ def test_spectral_norm_matches_svd():
         assert spectral_norm(A) == pytest.approx(want, rel=1e-8)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: identity_network(2.5, 2),
+        lambda: identity_network(2, 2.0),
+        lambda: identity_network(True, 2),
+        lambda: mult_network(1.5, 1, 1),
+        lambda: mult_network(1, 1, False),
+        lambda: square_network(2.5),
+        lambda: power_network(2, 1.5),
+        lambda: inversion_network(2.5, 1e-3, 0.2),
+        lambda: inversion_network(True, 1e-3, 0.2),
+        lambda: extend(affine_network(np.eye(2)), 2.5),
+        lambda: neumann_partial_sum_oracle(np.eye(2), 1.5),
+    ],
+)
+def test_sizes_must_be_integers(build):
+    with pytest.raises(InvalidArgument):
+        build()
+
+
+def test_sizes_accept_numpy_integers():
+    two = np.int64(2)
+    assert identity_network(two, np.int32(3)).depth == 3
+    assert mult_network(two, np.int64(1), two).output_dim == 4
+    assert power_network(two, np.uint8(1)).depth == 2
+    assert inversion_network(two, 0.5, 0.5).depth == 5
+    assert extend(affine_network(np.eye(2)), np.int64(4)).depth == 4
+    assert neumann_partial_sum_oracle(np.eye(2), two).tolist() == (4 * np.eye(2)).tolist()
+
+
 def test_spectral_norm_rejects_vector():
     with pytest.raises(DimensionMismatch):
         spectral_norm(np.arange(4.0))
@@ -420,6 +461,15 @@ def test_spectral_norm_rejects_vector():
 def test_spectral_norm_rejects_empty_matrix(shape):
     with pytest.raises(DimensionMismatch):
         spectral_norm(np.zeros(shape))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200])
+def test_spectral_norm_rejects_non_finite_entries_at_once(bad):
+    # 1e200 is finite but overflows in A^T A; at max_iter 1e9 only an early raise returns
+    A = np.eye(3)
+    A[1, 2] = bad
+    with pytest.raises(NonFiniteEntry):
+        spectral_norm(A, max_iter=10**9)
 
 
 def test_spectral_norm_reports_nonconvergence():

@@ -16,6 +16,8 @@ from requnet import (
     assemble_affine_system,
     build_reduced_basis,
     complexity,
+    concat,
+    extend,
     identity_network,
     inversion_network,
     load_network,
@@ -28,6 +30,7 @@ from requnet import (
     requ,
     save_network,
     solution_network,
+    sparse_concat,
 )
 from requnet.network import _fold_plan
 
@@ -291,6 +294,14 @@ def test_save_load_round_trip_is_bit_exact(tmp_path):
     assert (realize(net, x) == realize(loaded, x)).all()
 
 
+@pytest.mark.parametrize("text", [b"{not json", b"", b"\xff\xfe{}"])
+def test_load_network_rejects_non_json(tmp_path, text):
+    path = tmp_path / "net.json"
+    path.write_bytes(text)
+    with pytest.raises(InvalidArgument, match="malformed"):
+        load_network(path)
+
+
 def test_network_file_format_schema(tmp_path):
     """Layers are stored as their CSR arrays, so a file grows with the
     nonzero count rather than with rows x cols."""
@@ -472,11 +483,12 @@ def test_realize_batch_in_place_matches_layer_loop_and_keeps_input():
 
 def test_trusted_network_checks_that_shapes_chain():
     net = mult_network(2, 2, 2)
-    assert Network._trusted(net.layers).layers == net.layers
+    trusted = Network._trusted(net.layers, net._paired)
+    assert trusted.layers == net.layers and trusted._paired == (True, False)
     with pytest.raises(DimensionMismatch):
-        Network._trusted(net.layers[::-1])
+        Network._trusted(net.layers[::-1], net._paired)
     with pytest.raises(EmptyNetwork):
-        Network._trusted(())
+        Network._trusted((), ())
 
 
 @pytest.mark.parametrize("chunk", [0, -1, 2.5])
@@ -531,7 +543,7 @@ FOLD_NETS = [
 @pytest.mark.parametrize("name", FOLD_NETS)
 def test_every_hidden_layer_of_the_calculus_folds(fold_nets, name):
     net, _ = fold_nets[name]
-    plan = _fold_plan(net.layers)
+    plan = _fold_plan(net)
     assert [paired for _, _, paired in plan] == [True] * (net.depth - 1) + [False]
     assert sum(A.nnz for A, _, _ in plan) < sum(A.nnz for A, _ in net.layers)
 
@@ -586,7 +598,8 @@ def _near_miss(kind):
 
 def test_paired_layers_fold():
     net = make_network(_paired_layers())
-    assert [paired for _, _, paired in _fold_plan(net.layers)] == [True, False]
+    assert net._paired == (True, False)
+    assert [paired for _, _, paired in _fold_plan(net)] == [True, False]
 
 
 @pytest.mark.parametrize(
@@ -596,8 +609,113 @@ def test_paired_layers_fold():
 )
 def test_near_miss_pairing_does_not_fold(kind):
     net = _near_miss(kind)
-    assert not any(paired for _, _, paired in _fold_plan(net.layers))
+    assert not any(net._paired)
+    assert not any(paired for _, _, paired in _fold_plan(net))
     X = 3.0 * rng.standard_normal((net.input_dim, 32))
     want = _layer_loop(net, X)
     for chunk in (None, 16):
         assert realize_batch(net, X, chunk=chunk).tobytes() == want.tobytes()
+
+
+def _pair_halves(p, q, v):
+    """The entries (p // 2, q, v) at even p and at odd p, each sorted by
+    (p // 2, q), so that partners line up."""
+    halves = []
+    for parity in (0, 1):
+        m = p % 2 == parity
+        order = np.lexsort((q[m], p[m] // 2))
+        halves.append((p[m][order] // 2, q[m][order], v[m][order]))
+    return halves
+
+
+def _pairs_exactly(layer, nxt):
+    """Test-side exact check of a pairing flag, from COO triples: row 2i + 1
+    of (A, b) stores the negated entries of row 2i at the same columns, and
+    nxt stores equal entries at columns 2i and 2i + 1 of each row."""
+    (A, b), N = layer, nxt[0]
+    if A.shape[0] % 2:
+        return False
+    a, n = A.tocoo(), N.tocoo()
+    (re, ce, ve), (ro, co, vo) = _pair_halves(a.row, a.col, a.data)
+    (he, se, we), (ho, so, wo) = _pair_halves(n.col, n.row, n.data)
+    return (
+        len(ve) == len(vo)
+        and (re == ro).all() and (ce == co).all() and (vo == -ve).all()
+        and (b[1::2] == -b[0::2]).all()
+        and len(we) == len(wo)
+        and (he == ho).all() and (se == so).all() and (wo == we).all()
+    )
+
+
+@pytest.fixture(scope="module")
+def mixed_nets():
+    """Seeded compositions of make_network nets with gadget nets; "pure"
+    ones hold only calculus gadgets and make_network nets of exact pairs."""
+    r = np.random.default_rng(5150)
+
+    def dense(*widths):
+        return make_network(
+            [(r.uniform(-1, 1, (m, n)), r.uniform(-1, 1, m)) for n, m in zip(widths, widths[1:])]
+        )
+
+    def pairs(n, h, m):
+        W, c = r.uniform(-1, 1, (h, n)), r.uniform(-1, 1, h)
+        A, b = np.empty((2 * h, n)), np.empty(2 * h)
+        A[0::2], A[1::2], b[0::2], b[1::2] = W, -W, c, -c
+        V = np.repeat(r.uniform(-1, 1, (m, h)), 2, axis=1)
+        return make_network([(A, b), (V, r.uniform(-1, 1, m))])
+
+    return {
+        "concat gadget after dense": concat(mult_network(1, 2, 1), dense(3, 5, 4)),
+        "concat dense after gadget": concat(dense(4, 3, 2), identity_network(4, 3)),
+        "sparse_concat dense after pairs": sparse_concat(dense(2, 4, 3), pairs(3, 2, 2)),
+        "sparse_concat gadget after dense": sparse_concat(identity_network(4, 2), dense(3, 5, 4)),
+        "extend dense": extend(dense(2, 6, 3), 5),
+        "parallelize mixed": parallelize(
+            [dense(2, 3), pairs(2, 2, 1), mult_network(1, 2, 1), identity_network(1, 4)]
+        ),
+        "nested mixed": concat(
+            parallelize([pairs(2, 2, 1), dense(1, 3, 1)]),
+            sparse_concat(identity_network(3, 2), dense(2, 4, 3)),
+        ),
+        "pure concat pairs after power": concat(pairs(1, 3, 2), power_network(1, 2)),
+        "pure extend pairs": extend(pairs(2, 3, 2), 4),
+        "pure parallelize": parallelize(
+            [pairs(2, 3, 2), power_network(1, 1), extend(pairs(1, 2, 1), 3),
+             identity_network(2, 2)]
+        ),
+        "pure nested": concat(
+            identity_network(3, 3),
+            sparse_concat(
+                parallelize([mult_network(2, 1, 1), power_network(1, 2)]), pairs(2, 2, 4)
+            ),
+        ),
+    }
+
+
+MIXED_NETS = [
+    "concat gadget after dense", "concat dense after gadget", "sparse_concat dense after pairs",
+    "sparse_concat gadget after dense", "extend dense", "parallelize mixed", "nested mixed",
+    "pure concat pairs after power", "pure extend pairs", "pure parallelize", "pure nested",
+]
+
+
+@pytest.mark.parametrize("name", FOLD_NETS + MIXED_NETS)
+def test_pairing_flags_are_exact_pairings(fold_nets, mixed_nets, name):
+    net = fold_nets[name][0] if name in fold_nets else mixed_nets[name]
+    flags = net._paired
+    assert len(flags) == net.depth and flags[-1] is False
+    for k, flag in enumerate(flags[:-1]):
+        assert not flag or _pairs_exactly(net.layers[k], net.layers[k + 1]), k
+    if name in fold_nets or name.startswith("pure"):
+        assert all(flags[:-1])
+    X = rng.uniform(-1, 1, (net.input_dim, 32))
+    assert realize_batch(net, X).tobytes() == _layer_loop(net, X).tobytes()
+
+
+@pytest.mark.parametrize("name", ["inversion l7", "parallel", "h_net"])
+def test_loaded_network_flags_match_the_calculus(fold_nets, tmp_path, name):
+    # a loaded network's flags come from the exact check at construction
+    net = fold_nets[name][0]
+    save_network(tmp_path / "net.json", net)
+    assert load_network(tmp_path / "net.json")._paired == net._paired

@@ -674,6 +674,14 @@ def test_load_reduced_network_without_truncation_sup(tmp_path, sys9):
     assert (rb2.V == rb.V).all() and (rb2.f_rb == rb.f_rb).all()
 
 
+@pytest.mark.parametrize("text", [b"{not json", b"", b"\xff\xfe{}"])
+def test_load_reduced_network_rejects_non_json(tmp_path, text):
+    path = tmp_path / "solution.json"
+    path.write_bytes(text)
+    with pytest.raises(InvalidArgument, match="malformed"):
+        load_reduced_network(path)
+
+
 # A reduced-network file in the dense row-major layer layout written before
 # layers were stored as CSR arrays; such files must keep loading.
 DENSE_REDUCED_DOC = (
