@@ -6,10 +6,12 @@ The calculus rests on one 4-unit gadget: with
 
 every real x satisfies x = beta1 . sigma2(omega1 * x + gamma1), because
 sigma2(s) + sigma2(-s) = s^2 collapses the four squares to
-((x+1)^2 - (x-1)^2)/4.  extend stacks the gadget per output coordinate
-after a network's own layers; identity networks and sparse composition
-are extend applied to the affine identity and to the inner factor.  The
-operations' depth and nonzero counts obey exact formulas:
+((x+1)^2 - (x-1)^2)/4.  Networks store its even units (x + 1, x - 1)
+squared, weighted (1, -1)/4 (the [0::2] entries); `layers` and the
+nonzero counts report all four.  extend stacks the gadget per output
+coordinate after a network's own layers; identity networks and sparse
+composition are extend applied to the affine identity and to the inner
+factor.  The operations' depth and nonzero counts obey exact formulas:
 
     concat:        depth L1 + L2 - 1 (boundary affine maps fused)
     sparse_concat: depth L1 + L2     (the inner factor extended by one layer)
@@ -23,7 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DimensionMismatch, EmptyList, InvalidArgument
-from .network import Network, _is_size, _seal
+from .network import Network, _is_size, _lift, _seal
 
 __all__ = [
     "OMEGA1",
@@ -52,12 +54,11 @@ def concat(phi1, phi2):
         raise DimensionMismatch(
             f"cannot compose: {phi1.input_dim} inputs after {phi2.output_dim} outputs"
         )
-    A1, b1 = phi1.layers[0]
-    AL, bL = phi2.layers[-1]
-    fused = _seal(A1 @ AL, A1 @ bL + b1)
-    layers = phi2.layers[:-1] + (fused,) + phi1.layers[1:]
-    # negation is exact and the product keeps equal rows and columns equal
-    return Network._trusted(layers, phi2._paired[:-1] + phi1._paired)
+    A1, b1, tag = phi1._layers[0]
+    AL, bL, _ = phi2._layers[-1]
+    # the stored form of the lifted product, as negation is exact
+    fused = _seal(A1 @ AL, A1 @ bL + b1) + (tag,)
+    return Network._trusted(phi2._layers[:-1] + (fused,) + phi1._layers[1:])
 
 
 def identity_network(n, L):
@@ -84,7 +85,7 @@ def sparse_concat(phi1, phi2):
 def extend(phi, L):
     """Pad phi to depth L (same realization) with gadget layers after its own.
 
-    With W (4n x n), Gamma (4n) and B (n x 4n) stacking the gadget per
+    With W (2n x n), Gamma (2n) and B (n x 2n) stacking the stored gadget per
     output coordinate and k = L - depth(phi), phi's last affine map (A, b)
     becomes (W A, W b + Gamma), followed by k - 1 layers (W B, Gamma) and a
     final (B, 0): each output passes through the gadget k times.
@@ -95,15 +96,15 @@ def extend(phi, L):
     if k == 0:
         return phi
     n = phi.output_dim
-    ptr = np.arange(4 * n + 1)
-    W = sp.csr_matrix((np.tile(OMEGA1, n), ptr[:-1] // 4, ptr), shape=(4 * n, n))
-    B = sp.csr_matrix((np.tile(BETA1, n), ptr[:-1], ptr[::4]), shape=(n, 4 * n))
-    Gamma = np.tile(GAMMA1, n)
-    A, b = phi.layers[-1]
-    first = _seal(W @ A, W @ b + Gamma)
-    middle = (_seal(W @ B, Gamma),) * (k - 1) if k > 1 else ()
-    layers = phi.layers[:-1] + (first,) + middle + (_seal(B, np.zeros(n)),)
-    return Network._trusted(layers, phi._paired[:-1] + (True,) * k + (False,))
+    ptr = np.arange(2 * n + 1)
+    W = sp.csr_matrix((np.tile(OMEGA1[0::2], n), ptr[:-1] // 2, ptr), shape=(2 * n, n))
+    B = sp.csr_matrix((np.tile(BETA1[0::2], n), ptr[:-1], ptr[::2]), shape=(n, 2 * n))
+    Gamma = np.tile(GAMMA1[0::2], n)
+    A, b, _ = phi._layers[-1]
+    first = _seal(W @ A, W @ b + Gamma) + ("square",)
+    middle = (_seal(W @ B, Gamma) + ("square",),) * (k - 1) if k > 1 else ()
+    last = _seal(B, np.zeros(n)) + (None,)
+    return Network._trusted(phi._layers[:-1] + (first,) + middle + (last,))
 
 
 def _sparse_chain(stages):
@@ -111,15 +112,14 @@ def _sparse_chain(stages):
     stages of depth >= 2, with each join's two layers computed once per
     distinct stage: a repeated stage repeats the same layer objects."""
     J, K = {}, {}
-    layers, paired = stages[0].layers[:-1], stages[0]._paired[:-1]
+    layers = stages[0]._layers[:-1]
     for inner, outer in zip(stages, stages[1:]):
         if id(inner) not in J or id(outer) not in K:
-            joined = sparse_concat(outer, inner).layers[inner.depth - 1 : inner.depth + 1]
+            joined = sparse_concat(outer, inner)._layers[inner.depth - 1 : inner.depth + 1]
             J.setdefault(id(inner), joined[0])
             K.setdefault(id(outer), joined[1])
-        layers += (J[id(inner)], K[id(outer)]) + outer.layers[1:-1]
-        paired += (True,) + outer._paired[:-1]  # J is an extend gadget layer
-    return Network._trusted(layers + stages[-1].layers[-1:], paired + (False,))
+        layers += (J[id(inner)], K[id(outer)]) + outer._layers[1:-1]
+    return Network._trusted(layers + stages[-1]._layers[-1:])
 
 
 def parallelize(phis):
@@ -133,13 +133,17 @@ def parallelize(phis):
     if not phis:
         raise EmptyList("parallelize needs at least one network")
     L = max(phi.depth for phi in phis)
-    padded = [extend(phi, L) for phi in phis]
-    levels = [[p.layers[k] for p in padded] for k in range(L)]
-    # a level whose lane layers repeat an earlier level's repeats its stack
-    stacks = {tuple(map(id, lanes)): lanes for lanes in levels}
-    stacks = {key: _stack(lanes) for key, lanes in stacks.items()}
-    layers = [stacks[tuple(map(id, lanes))] for lanes in levels]
-    return Network._trusted(layers, [all(p._paired[k] for p in padded) for k in range(L)])
+    stacks, layers, lifted = {}, [], (False,) * len(phis)
+    for lanes in zip(*(extend(phi, L)._layers for phi in phis)):
+        tag = lanes[0][2] if len({t for _, _, t in lanes}) == 1 else "requ"
+        # where the lanes disagree, the "square" ones are stacked lifted
+        cols, lifted = lifted, tuple(t == "square" and tag != "square" for _, _, t in lanes)
+        key = (tuple(map(id, lanes)), cols)  # whole stored layers; a repeated level repeats
+        if key not in stacks:
+            parts = [_lift(A, b, r, c) for (A, b, _), r, c in zip(lanes, lifted, cols)]
+            stacks[key] = _stack(parts) + (tag,)
+        layers.append(stacks[key])
+    return Network._trusted(layers)
 
 
 def _stack(lanes):

@@ -42,7 +42,7 @@ from .matrixnets import (
     square_network,
     vec,
 )
-from .network import Network, complexity, make_network, realize, realize_batch, requ, save_network
+from .network import _evaluate, complexity, make_network, realize, save_network
 from .pde import (
     _EVAL_CHUNK,
     assemble_affine_system,
@@ -382,7 +382,7 @@ def cmd_invert(args):
             "measured_error": measured,
         },
     )
-    return 0
+    return 0 if measured <= args.eps + 1e-9 else 1
 
 
 def cmd_complexity(args):
@@ -413,10 +413,9 @@ def cmd_pde(args):
     rb_net, h_net = solution_network(rb, args.eps, C_f)
 
     test = rng.random((args.test, system.p))
-    prefix = Network._trusted(rb_net.layers[:-1], rb_net._paired[:-2] + (False,))
-    shared = requ(realize_batch(prefix, test.T, chunk=_EVAL_CHUNK))
-    outs_rb = realize_batch(Network._trusted(rb_net.layers[-1:], (False,)), shared)
-    outs_h = realize_batch(Network._trusted(h_net.layers[-2:], h_net._paired[-2:]), shared)
+    shared = _evaluate(rb_net._layers[:-1], test.T, _EVAL_CHUNK)  # the prefix's activations
+    outs_rb = _evaluate(rb_net._layers[-1:], shared)
+    outs_h = _evaluate(h_net._layers[-2:], shared)
     rep_euclid = evaluate_error(
         rb, rb_net, test, system.G, "euclidean-rb", target_eps=args.eps, outputs=outs_rb
     )

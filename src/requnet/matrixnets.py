@@ -83,28 +83,25 @@ def mult_network(d, n, l):
     """2-layer network computing (vec A, vec B) -> vec(A @ B) exactly,
     for A of shape d x n and B of shape n x l.
 
-    One product gadget per scalar term A_ik * B_kj: 4*d*n*l hidden units,
-    first-layer nonzeros exactly 8*d*n*l, last-layer 4*d*n*l.
+    One product gadget per scalar term A_ik * B_kj (stored as two units):
+    4*d*n*l hidden units, first-layer nonzeros exactly 8*d*n*l, last 4*d*n*l.
     """
     if not all(map(_is_size, (d, n, l))):
         raise InvalidArgument(f"need integers d, n, l >= 1, got {(d, n, l)}")
     dl = d * l
-    # one gadget per (output m = j*d + i, summand k), rows grouped 4 apart
+    # one gadget per (output m = j*d + i, summand k): rows (x + y, x - y) of
+    # x = A_ik and y = B_kj, each row storing the columns of x and y
     mm = np.repeat(np.arange(dl), n)
     kk = np.tile(np.arange(n), dl)
-    ii = mm % d
-    jj = mm // d
-    rows = ((4 * (mm * n + kk))[:, None] + np.arange(4)).ravel()
-    col_a = kk * d + ii
-    col_b = d * n + jj * n + kk
-    r = np.concatenate([rows, rows])
-    c = np.concatenate([np.repeat(col_a, 4), np.repeat(col_b, 4)])
-    vals = np.concatenate([np.tile(OMEGA1, dl * n), np.tile(GAMMA1, dl * n)])
-    h = 4 * dl * n
-    A1 = sp.coo_matrix((vals, (r, c)), shape=(h, n * (d + l))).tocsr()
-    ptr = np.arange(0, h + 1, 4 * n)  # output m sums its n gadgets
-    A2 = sp.csr_matrix((np.tile(BETA1, dl * n), np.arange(h), ptr), shape=(dl, h))
-    return Network._trusted([_seal(A1, np.zeros(h)), _seal(A2, np.zeros(dl))], (True, False))
+    cols = np.stack([kk * d + mm % d, d * n + (mm // d) * n + kk], axis=1)
+    gadget = np.stack([OMEGA1[0::2], GAMMA1[0::2]], axis=1).ravel()
+    h = 2 * dl * n
+    data, idx = np.tile(gadget, dl * n), np.repeat(cols, 2, axis=0).ravel()
+    A1 = sp.csr_matrix((data, idx, np.arange(0, 2 * h + 1, 2)), shape=(h, n * (d + l)))
+    ptr = np.arange(0, h + 1, 2 * n)  # output m sums its n gadgets
+    A2 = sp.csr_matrix((np.tile(BETA1[0::2], dl * n), np.arange(h), ptr), shape=(dl, h))
+    hidden, out = _seal(A1, np.zeros(h)) + ("square",), _seal(A2, np.zeros(dl)) + (None,)
+    return Network._trusted([hidden, out])
 
 
 def _duplicator(n):

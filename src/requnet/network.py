@@ -79,42 +79,47 @@ def _seal(A, b):
 
 
 class Network:
-    """Immutable sequence of affine layers (A_k, b_k).
+    """Immutable sequence of affine layers, stored as evaluated: (A, b, tag).
 
-    A_k is N_k x N_{k-1} (CSR), b_k has length N_k.  Instances are
-    validated on construction and safe to share across threads; all
-    evaluation is pure.  The CSR arrays and biases are read-only, so the
-    calculus passes its operands' layers on to its results as they are.
-
-    _paired flags each layer whose rows are exact (z, -z) pairs and whose
-    successor weights columns 2i and 2i + 1 equally (never the last layer).
+    Tag "square" marks a layer of unit pairs (z, -z), as sigma2(z) +
+    sigma2(-z) = z^2: it keeps its even rows, z^2 follows it and the next
+    layer keeps its even columns.  Other hidden layers are "requ", the output
+    layer None.  `layers` derives the ReQU layers.  Instances are validated
+    on construction and safe to share across threads; the CSR arrays and
+    biases are read-only, so the calculus passes stored layers on as they are.
     """
 
-    __slots__ = ("layers", "input_dim", "output_dim", "_paired")
+    __slots__ = ("_layers", "input_dim", "output_dim")
 
     def __init__(self, layers):
         layers = tuple(_seal(*_owned(A, b)) for A, b in layers)
         paired = [_is_paired(*layer, nxt) for layer, (nxt, _) in zip(layers, layers[1:])]
-        self._set_layers(layers, paired + [False])
+        tags = ["square" if p else "requ" for p in paired] + [None]
+        self._set_layers(
+            _fold(A, b, tag == "square", prev == "square") + (tag,)
+            for (A, b), tag, prev in zip(layers, tags, [None] + tags)
+        )
 
     @classmethod
-    def _trusted(cls, layers, paired):
-        """Network of validated (or freshly _sealed) layers and their pairing
-        flags, taken as they are; only checks that adjacent shapes chain."""
+    def _trusted(cls, layers):
+        """Network of validated (or freshly _sealed) stored layers, as they are;
+        checks only that shapes chain and that the output layer is affine."""
         net = object.__new__(cls)
-        net._set_layers(tuple(layers), paired)
+        net._set_layers(layers)
         return net
 
-    def _set_layers(self, layers, paired):
+    def _set_layers(self, layers):
+        layers = tuple(layers)
         if not layers:
             raise EmptyNetwork("a network needs at least one layer")
-        for (A, _), (nxt, _) in zip(layers, layers[1:]):
+        for (A, _, _), (nxt, _, _) in zip(layers, layers[1:]):
             if nxt.shape[1] != A.shape[0]:
                 raise DimensionMismatch(
                     f"layer expects {nxt.shape[1]} inputs but previous layer emits {A.shape[0]}"
                 )
-        object.__setattr__(self, "layers", layers)
-        object.__setattr__(self, "_paired", tuple(paired))
+        if layers[-1][2] is not None:
+            raise InvalidArgument("the output layer of a network is affine")
+        object.__setattr__(self, "_layers", layers)
         object.__setattr__(self, "input_dim", layers[0][0].shape[1])
         object.__setattr__(self, "output_dim", layers[-1][0].shape[0])
 
@@ -122,15 +127,28 @@ class Network:
         raise AttributeError("Network is immutable")
 
     @property
+    def layers(self):
+        """The ReQU layers (A_k, b_k), lifted from the store on each access and
+        not kept; a stored layer recurring after the same tag is lifted once."""
+        lifted, view, prev = {}, [], None
+        for layer in self._layers:
+            key = (id(layer), prev)  # the whole stored layer: A, its bias and tag
+            if key not in lifted:
+                lifted[key] = _lift(*layer[:2], layer[2] == "square", prev == "square")
+            view.append(lifted[key])
+            prev = layer[2]
+        return tuple(view)
+
+    @property
     def depth(self):
-        return len(self.layers)
+        return len(self._layers)
 
     def __call__(self, x):
         return realize(self, x)
 
     def __repr__(self):
-        widths = [self.input_dim] + [A.shape[0] for A, _ in self.layers]
-        return f"Network(depth={self.depth}, widths={widths})"
+        widths = [A.shape[0] * (1 + (tag == "square")) for A, _, tag in self._layers]
+        return f"Network(depth={self.depth}, widths={[self.input_dim] + widths})"
 
 
 @dataclass(frozen=True)
@@ -165,32 +183,20 @@ def realize(net, x):
     return realize_batch(net, x[:, None])[:, 0]
 
 
-_FOLD_MIN_COLS = 16
-
-
 def realize_batch(net, X, chunk=None):
     """Evaluate the network on each column of X (input_dim x n_samples).
 
     realize is this on a single column; useful when evaluating a large
     network on a parameter grid.  When `chunk` (a positive integer, else
     InvalidArgument) is given, the columns are processed at most `chunk`
-    at a time, which bounds the working set at (widest evaluated layer) x
+    at a time, which bounds the working set at (widest stored layer) x
     chunk doubles regardless of the sample count.  Raises NonFiniteEntry
     on NaN or infinite inputs.
 
-    The calculus emits hidden units in pairs (z, -z) that the next layer
-    weights equally, since sigma2(z) + sigma2(-z) = z^2, and flags them in
-    net._paired as it builds them (make_network and load_network check
-    once, at construction).  From 16 columns up, each flagged layer is
-    evaluated once per pair: its even rows, then z^2, then the next layer's
-    even columns, a quarter of the multiply-adds.  The outputs are
-    bit-identical to the unfolded loop: negation is exact, so one of
-    sigma2(z), sigma2(-z) is exactly 0, and the dropped term c * 0 is a
-    signed zero added to a row sum that starts from +0 and so never holds
-    -0.  Below 16 columns the layers run as stored: on small networks the
-    fold's per-layer gathers cost more than they save (inversion networks
-    at d 2-4 plus a 16-128-128-16 dense one, 8 columns: 1.0 ms folded, 0.5
-    ms unfolded; 2-core x86, one BLAS thread).
+    The stored layers run as they are, a quarter of the lifted layers'
+    multiply-adds where units pair, and bit-identical to evaluating
+    `layers`: one of sigma2(z), sigma2(-z) is exactly 0, and the dropped
+    term c * 0 is a signed zero added to a row sum that starts from +0.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] != net.input_dim:
@@ -201,90 +207,84 @@ def realize_batch(net, X, chunk=None):
         raise NonFiniteEntry("input contains NaN or infinite entries")
     if chunk is not None and not _is_size(chunk):
         raise InvalidArgument(f"chunk must be a positive integer, got {chunk!r}")
-    n = X.shape[1]
-    plan = _fold_plan(net) if n >= _FOLD_MIN_COLS else [(A, b, False) for A, b in net.layers]
-    if chunk is None or n <= chunk:
-        return _evaluate(plan, X)
-    blocks = [_evaluate(plan, X[:, j : j + chunk]) for j in range(0, n, chunk)]
-    return np.concatenate(blocks, axis=1)
+    return _evaluate(net._layers, X, chunk)
 
 
-def _evaluate(plan, X):
-    last = len(plan) - 1
-    for k, (A, b, paired) in enumerate(plan):
+def _evaluate(layers, X, chunk=None):
+    if chunk is not None and X.shape[1] > chunk:
+        blocks = [_evaluate(layers, X[:, j : j + chunk]) for j in range(0, X.shape[1], chunk)]
+        return np.concatenate(blocks, axis=1)
+    for A, b, tag in layers:
         X = A @ X  # a fresh array, so the caller's X is never written
         X += b[:, None]
-        if k != last:  # requ in place; z^2 on a folded pair
-            if not paired:
-                np.maximum(X, 0.0, out=X)
+        if tag == "requ":
+            np.maximum(X, 0.0, out=X)
+        if tag is not None:  # requ in place, or z^2 on a pair
             np.square(X, out=X)
     return X
 
 
 def _is_paired(A, b, nxt):
-    """Whether every odd row of (A, b) is exactly the negation of the row
-    before it, and nxt's stored entries come in adjacent pairs at columns
-    (2i, 2i + 1) with equal values, each pair inside one row."""
-    counts, idx = np.diff(A.indptr), nxt.indices
-    if A.shape[0] % 2 or not np.array_equal(counts[1::2], counts[0::2]):
+    """Whether each odd row of (A, b) is bit for bit 0.0 minus the row before
+    it, and nxt stores bitwise-equal entries at columns (2i, 2i + 1) of each
+    row: exactly the layers that _fold and _lift turn into each other."""
+    rows, counts, idx = A.shape[0], np.diff(A.indptr), nxt.indices
+    if rows % 2 or nxt.shape[1] != rows or b[1::2].tobytes() != (0.0 - b[0::2]).tobytes():
         return False
-    even = np.repeat(np.arange(A.shape[0]) % 2 == 0, counts)
+    if (nxt.indptr % 2).any() or not np.array_equal(counts[1::2], counts[0::2]):
+        return False
+    even = np.repeat(np.arange(rows) % 2 == 0, counts)
     return (
-        np.array_equal(b[1::2], -b[0::2])
-        and np.array_equal(A.indices[~even], A.indices[even])
-        and np.array_equal(A.data[~even], -A.data[even])
-        and not (nxt.indptr % 2).any()
+        np.array_equal(A.indices[~even], A.indices[even])
+        and A.data[~even].tobytes() == (0.0 - A.data[even]).tobytes()
         and not (idx[0::2] % 2).any()
         and np.array_equal(idx[1::2], idx[0::2] + 1)
-        and np.array_equal(nxt.data[1::2], nxt.data[0::2])
+        and nxt.data[1::2].tobytes() == nxt.data[0::2].tobytes()
     )
 
 
-def _fold_plan(net):
-    """The (A, b, paired) triples realize_batch evaluates for net.
-
-    A layer flagged in net._paired keeps its even rows and its successor
-    keeps its even columns; other layers stay as they are.  Shared layer
-    objects are folded once.
-    """
-    folded, plan = {}, []
-    prev = False
-    for layer, paired in zip(net.layers, net._paired):
-        key = (id(layer), paired, prev)
-        if key not in folded:
-            folded[key] = _fold(*layer, paired, prev)
-        plan.append(folded[key] + (paired,))
-        prev = paired
-    return plan
-
-
 def _fold(A, b, even_rows, even_cols):
-    """(A, b) restricted to its even rows, then to its even columns with
-    indices halved, as asked; the pairing flags make both exact."""
+    """(A, b) cut to its even rows, then its even columns, as asked; exact
+    where _is_paired holds."""
     if not (even_rows or even_cols):
+        return A, b
+    if even_rows:
+        A, b = A[0::2], b[0::2]
+    return _seal(A[:, 0::2] if even_cols else A, b)
+
+
+def _lift(A, b, odd_rows, odd_cols):
+    """Inverse of _fold: each row followed by 0.0 minus it (-row would turn
+    +0 into -0), then each column entry repeated at 2j and 2j + 1, as asked."""
+    if not (odd_rows or odd_cols):
         return A, b
     data, indices, indptr = A.data, A.indices, A.indptr
     rows, cols = A.shape
-    if even_rows:
-        keep = np.repeat(np.arange(rows) % 2 == 0, np.diff(indptr))
-        data, indices, indptr = data[keep], indices[keep], indptr[0::2] // 2
-        b, rows = b[0::2], rows // 2
-    if even_cols:  # contiguous data, else scipy copies it at every product
-        data, indices, indptr = data[0::2].copy(), indices[0::2] // 2, indptr // 2
-        cols //= 2
-    return sp.csr_matrix((data, indices, indptr), shape=(rows, cols)), b
+    if odd_rows:  # row i's entries, then its negated copy's, go to rows 2i and 2i + 1
+        counts = np.diff(indptr)
+        row = np.repeat(2 * np.arange(rows), counts)
+        at = np.argsort(np.concatenate([row, row + 1]), kind="stable")
+        data, indices = np.concatenate([data, 0.0 - data])[at], np.tile(indices, 2)[at]
+        indptr = np.concatenate([indptr[:1], np.cumsum(np.repeat(counts, 2), dtype=indptr.dtype)])
+        b, rows = np.stack([b, 0.0 - b], axis=1).ravel(), 2 * rows
+    if odd_cols:
+        data, indices, indptr = np.repeat(data, 2), np.repeat(2 * indices, 2), 2 * indptr
+        indices[1::2] += 1
+        cols *= 2
+    return _seal(sp.csr_matrix((data, indices, indptr), shape=(rows, cols)), b)
 
 
 def complexity(net):
-    """Exact complexity report; an entry counts as zero only when it is
-    bit-exactly zero."""
-    layer_nnz = []
-    nodes = net.input_dim
-    for A, b in net.layers:
-        layer_nnz.append(int(np.count_nonzero(A.data)) + int(np.count_nonzero(b)))
-        nodes += A.shape[0]
+    """Exact complexity report of the ReQU network `layers`, counted from
+    the store; an entry counts as zero only when it is bit-exactly zero."""
+    layer_nnz, nodes, prev = [], net.input_dim, None
+    for A, b, tag in net._layers:
+        rows, cols = 1 + (tag == "square"), 1 + (prev == "square")  # units per stored row, column
+        layer_nnz.append(rows * (cols * int(np.count_nonzero(A.data)) + int(np.count_nonzero(b))))
+        nodes += rows * A.shape[0]
+        prev = tag
     return ComplexityReport(
-        depth=len(net.layers),
+        depth=net.depth,
         nodes=nodes,
         total_nnz=sum(layer_nnz),
         layer_nnz=tuple(layer_nnz),

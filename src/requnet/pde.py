@@ -446,7 +446,7 @@ def solution_network(rb, epsilon, C_f):
     reduced output stays within epsilon of reduced_solve (Euclidean), and
     the lifted output within epsilon in the G-norm by G-orthonormality of V.
 
-    h_net.layers[:-2] are the very (A, b) objects of rb_net.layers[:-1],
+    h_net._layers[:-2] are the very stored layers of rb_net._layers[:-1],
     so one evaluation of that shared prefix serves both networks.
     """
     if not (np.isfinite(epsilon) and 0.0 < epsilon < 1.0):

@@ -24,6 +24,7 @@ from requnet import (
     mult_network,
     parallelize,
     realize,
+    realize_batch,
     requ,
     sparse_concat,
 )
@@ -357,17 +358,18 @@ def test_concat_rejects_overflowing_product():
 
 def test_identity_middle_layers_are_one_object():
     net = identity_network(3, 6)
+    view = net.layers  # one access lifts a recurring layer once
     for k in (2, 3, 4):
-        assert net.layers[k][0] is net.layers[1][0]
-        assert net.layers[k][1] is net.layers[1][1]
+        assert net._layers[k] is net._layers[1]
+        assert view[k] is view[1]
 
 
 def test_calculus_passes_operand_layers_on_unchanged():
     phi = identity_network(2, 4)
     psi = make_network([(rng.standard_normal((2, 3)), rng.standard_normal(2))])
     for net in (concat(affine_network(np.eye(2)), phi), extend(phi, 6)):
-        assert all(a is b for a, b in zip(net.layers[:-1], phi.layers[:-1]))
-    assert all(a is b for a, b in zip(sparse_concat(phi, psi).layers[-3:], phi.layers[1:]))
+        assert all(a is b for a, b in zip(net._layers[:-1], phi._layers[:-1]))
+    assert all(a is b for a, b in zip(sparse_concat(phi, psi)._layers[-3:], phi._layers[1:]))
 
 
 def test_parallelize_matches_block_diag_reference():
@@ -383,7 +385,24 @@ def test_parallelize_matches_block_diag_reference():
         assert _same_arrays(b, np.concatenate([p.layers[k][1] for p in padded]))
 
 
+def test_parallelize_keeps_biases_of_a_shared_matrix():
+    # one read-only canonical CSR in three layers is stored as that one object,
+    # so a level's stack must not be reused across the distinct biases
+    A = sp.csr_matrix(np.array([[1.0, -2.0], [0.5, 3.0]]))
+    for a in (A.data, A.indices, A.indptr):
+        a.setflags(write=False)
+    net = make_network([(A, [0.1, 0.2]), (A, [0.3, -0.4]), (A, [-0.5, 0.6])])
+    X = rng.uniform(-1, 1, (2, 17))
+    want = X
+    for k, (W, b) in enumerate(net.layers):
+        want = W @ want + b[:, None]
+        want = np.square(np.maximum(want, 0.0)) if k < net.depth - 1 else want
+    assert realize_batch(parallelize([net]), X).tobytes() == want.tobytes()
+    twice = realize_batch(parallelize([net, net]), np.vstack([X, X]))
+    assert twice.tobytes() == np.vstack([want, want]).tobytes()
+
+
 def test_parallelize_repeats_stack_of_repeated_lanes():
     net = parallelize([identity_network(2, 6), identity_network(3, 6)])
-    assert all(net.layers[k] is net.layers[1] for k in (2, 3, 4))
-    assert net.layers[0] is not net.layers[1]
+    assert all(net._layers[k] is net._layers[1] for k in (2, 3, 4))
+    assert net._layers[0] is not net._layers[1]

@@ -105,6 +105,17 @@ def test_invert_reads_matrix_file(tmp_path):
     assert json.loads(out.read_text())["measured_error"] == 0.0
 
 
+def test_invert_exits_1_when_the_error_budget_fails(tmp_path):
+    # ||A|| = 0.9 breaks the contraction margin 1 - delta = 0.5 the plan assumes
+    mat = tmp_path / "wide.json"
+    mat.write_text(json.dumps([[0.9, 0.0], [0.0, 0.9]]))
+    out, saved = tmp_path / "invert.json", tmp_path / "net.json"
+    argv = ["invert", "--dim", "2", "--eps", "1e-2", "--delta", "0.5", "--matrix", str(mat)]
+    assert main(argv + ["--save", str(saved), "--out", str(out)]) == 1
+    assert json.loads(out.read_text())["measured_error"] > 1e-2
+    assert load_network(saved).depth == json.loads(out.read_text())["depth"]
+
+
 def test_invert_missing_matrix_file(tmp_path):
     proc = run_cli(
         "invert", "--dim", "2", "--eps", "1e-2", "--delta", "0.5",

@@ -536,12 +536,12 @@ def test_power_equals_stage_by_stage_reference(d, j):
 def test_inversion_repeats_join_layers_as_one_object():
     net = inversion_network(3, 1e-6, 0.2)  # l = 7: five middle stages
     assert net.depth == 15
-    assert all(net.layers[k] is net.layers[3] for k in (5, 7, 9, 11))
-    assert all(net.layers[k] is net.layers[2] for k in (4, 6, 8, 10))
+    assert all(net._layers[k] is net._layers[3] for k in (5, 7, 9, 11))
+    assert all(net._layers[k] is net._layers[2] for k in (4, 6, 8, 10))
     # first layer and join, the repeated pair, last join, last stage and pad
-    assert len({id(layer) for layer in net.layers}) == 7
+    assert len({id(layer) for layer in net._layers}) == 7
 
 
 def test_power_repeats_join_layers_as_one_object():
     net = power_network(2, 4)
-    assert net.layers[3] is net.layers[5] and net.layers[2] is net.layers[4] is net.layers[6]
+    assert net._layers[3] is net._layers[5] and net._layers[2] is net._layers[4] is net._layers[6]

@@ -32,7 +32,6 @@ from requnet import (
     solution_network,
     sparse_concat,
 )
-from requnet.network import _fold_plan
 
 rng = np.random.default_rng(1207)
 
@@ -108,9 +107,11 @@ def test_direct_constructor_leaves_caller_matrix_writable():
 
 
 def test_network_shares_read_only_layers():
-    net = mult_network(2, 2, 2)
+    # layers that do not pair are stored as given, so the view is the store
+    shapes = [(3, 4), (4, 2)]
+    net = make_network([(rng.standard_normal((m, n)), rng.standard_normal(m)) for n, m in shapes])
     again = Network(net.layers)
-    assert all(a[0] is b[0] for a, b in zip(net.layers, again.layers))
+    assert all(a[0] is b[0] and a[1] is b[1] for a, b in zip(net._layers, again._layers))
 
 
 def test_realize_rejects_non_finite_input():
@@ -481,14 +482,20 @@ def test_realize_batch_in_place_matches_layer_loop_and_keeps_input():
     assert realize(net, X[:, 0]).tobytes() == want[:, 0].tobytes()
 
 
+def _tags(net):
+    return tuple(tag for _, _, tag in net._layers)
+
+
 def test_trusted_network_checks_that_shapes_chain():
     net = mult_network(2, 2, 2)
-    trusted = Network._trusted(net.layers, net._paired)
-    assert trusted.layers == net.layers and trusted._paired == (True, False)
+    trusted = Network._trusted(net._layers)
+    assert trusted._layers == net._layers and _tags(trusted) == ("square", None)
     with pytest.raises(DimensionMismatch):
-        Network._trusted(net.layers[::-1], net._paired)
+        Network._trusted(net._layers[::-1])
     with pytest.raises(EmptyNetwork):
-        Network._trusted((), ())
+        Network._trusted(())
+    with pytest.raises(InvalidArgument):  # a prefix ending in activations is no network
+        Network._trusted(net._layers[:-1])
 
 
 @pytest.mark.parametrize("chunk", [0, -1, 2.5])
@@ -543,9 +550,8 @@ FOLD_NETS = [
 @pytest.mark.parametrize("name", FOLD_NETS)
 def test_every_hidden_layer_of_the_calculus_folds(fold_nets, name):
     net, _ = fold_nets[name]
-    plan = _fold_plan(net)
-    assert [paired for _, _, paired in plan] == [True] * (net.depth - 1) + [False]
-    assert sum(A.nnz for A, _, _ in plan) < sum(A.nnz for A, _ in net.layers)
+    assert _tags(net) == ("square",) * (net.depth - 1) + (None,)
+    assert sum(A.nnz for A, _, _ in net._layers) < sum(A.nnz for A, _ in net.layers)
 
 
 @pytest.mark.parametrize("name", FOLD_NETS)
@@ -590,6 +596,12 @@ def _near_miss(kind):
         # row 0 stores columns 0, 1, 2 and row 1 columns 3, 4, 5: stored
         # side by side, (2, 3) looks like a pair but spans two rows
         layers[1][0] = np.array([[1.5, 1.5, 0.5, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.5, 2.0, 2.0]])
+    elif kind == "signed-zero bias pair":
+        b1[0], b1[1] = 0.0, -0.0  # equal values, but 0.0 - 0.0 is +0
+    elif kind == "signed-zero column pair":
+        A2 = sp.csr_matrix(A2)
+        A2.data[2], A2.data[3] = 0.0, -0.0  # a stored pair at columns 2, 3 of row 0
+        layers[1][0] = A2
     elif kind == "dense":
         return make_network([(rng.standard_normal((6, 3)), rng.standard_normal(6)),
                              (rng.standard_normal((2, 6)), rng.standard_normal(2))])
@@ -598,19 +610,18 @@ def _near_miss(kind):
 
 def test_paired_layers_fold():
     net = make_network(_paired_layers())
-    assert net._paired == (True, False)
-    assert [paired for _, _, paired in _fold_plan(net)] == [True, False]
+    assert _tags(net) == ("square", None)
 
 
 @pytest.mark.parametrize(
     "kind",
     ["odd row off by one ulp", "bias not negated", "odd hidden width", "unequal column pair",
-     "column pair split across rows", "dense"],
+     "column pair split across rows", "signed-zero bias pair", "signed-zero column pair",
+     "dense"],
 )
 def test_near_miss_pairing_does_not_fold(kind):
     net = _near_miss(kind)
-    assert not any(net._paired)
-    assert not any(paired for _, _, paired in _fold_plan(net))
+    assert _tags(net) == ("requ", None)
     X = 3.0 * rng.standard_normal((net.input_dim, 32))
     want = _layer_loop(net, X)
     for chunk in (None, 16):
@@ -703,19 +714,53 @@ MIXED_NETS = [
 @pytest.mark.parametrize("name", FOLD_NETS + MIXED_NETS)
 def test_pairing_flags_are_exact_pairings(fold_nets, mixed_nets, name):
     net = fold_nets[name][0] if name in fold_nets else mixed_nets[name]
-    flags = net._paired
-    assert len(flags) == net.depth and flags[-1] is False
-    for k, flag in enumerate(flags[:-1]):
-        assert not flag or _pairs_exactly(net.layers[k], net.layers[k + 1]), k
+    tags, layers = _tags(net), net.layers
+    assert len(tags) == net.depth and tags[-1] is None
+    for k, tag in enumerate(tags[:-1]):
+        assert tag in ("square", "requ")
+        assert tag == "requ" or _pairs_exactly(layers[k], layers[k + 1]), k
     if name in fold_nets or name.startswith("pure"):
-        assert all(flags[:-1])
+        assert set(tags[:-1]) <= {"square"}
     X = rng.uniform(-1, 1, (net.input_dim, 32))
     assert realize_batch(net, X).tobytes() == _layer_loop(net, X).tobytes()
 
 
 @pytest.mark.parametrize("name", ["inversion l7", "parallel", "h_net"])
 def test_loaded_network_flags_match_the_calculus(fold_nets, tmp_path, name):
-    # a loaded network's flags come from the exact check at construction
+    # a loaded network's tags come from the exact check at construction
     net = fold_nets[name][0]
     save_network(tmp_path / "net.json", net)
-    assert load_network(tmp_path / "net.json")._paired == net._paired
+    assert _tags(load_network(tmp_path / "net.json")) == _tags(net)
+
+
+@pytest.mark.parametrize("kind", ["signed-zero bias pair", "signed-zero column pair"])
+def test_signed_zero_pairs_survive_load_and_save(tmp_path, kind):
+    # folded, such a pair would come back from the view as (+0.0, +0.0)
+    save_network(tmp_path / "net.json", _near_miss(kind))
+    save_network(tmp_path / "again.json", load_network(tmp_path / "net.json"))
+    assert (tmp_path / "again.json").read_bytes() == (tmp_path / "net.json").read_bytes()
+
+
+def _shared_matrix_net():
+    # one read-only canonical CSR in three layers with three biases: the store
+    # keeps that very object in each layer, as construction does not copy it
+    A = sp.csr_matrix(np.array([[1.0, -2.0], [0.5, 3.0]]))
+    for a in (A.data, A.indices, A.indptr):
+        a.setflags(write=False)
+    biases = [np.array([0.1, 0.2]), np.array([0.3, -0.4]), np.array([-0.5, 0.6])]
+    net = make_network([(A, b) for b in biases])
+    assert all(stored is A for stored, _, _ in net._layers)
+    return net, A, biases
+
+
+def test_shared_matrix_with_distinct_biases_survives_view_and_save(tmp_path):
+    net, A, biases = _shared_matrix_net()
+    for (got, b), want in zip(net.layers, biases):
+        assert got is A and b.tobytes() == want.tobytes()
+    save_network(tmp_path / "net.json", net)
+    again = load_network(tmp_path / "net.json")
+    for (got, b), want in zip(again.layers, biases):
+        assert (got != A).nnz == 0 and b.tobytes() == want.tobytes()
+    X = rng.uniform(-1, 1, (2, 17))
+    assert realize_batch(again, X).tobytes() == realize_batch(net, X).tobytes()
+    assert realize_batch(net, X).tobytes() == _layer_loop(net, X).tobytes()

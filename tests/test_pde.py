@@ -476,8 +476,8 @@ def test_solution_network_shares_prefix(rb9):
     evaluation of that prefix gives both outputs bit for bit."""
     rb_net, h_net = solution_network(rb9, 1e-3, 1.01 * np.linalg.norm(rb9.f_rb))
     assert h_net.depth == rb_net.depth + 1
-    for (A1, b1), (A2, b2) in zip(rb_net.layers[:-1], h_net.layers[:-2]):
-        assert A1 is A2 and b1 is b2
+    for layer, again in zip(rb_net._layers[:-1], h_net._layers[:-2]):
+        assert layer is again
     Y = np.random.default_rng(7).uniform(0, 1, (4, 40))
     shared = requ(realize_batch(Network(rb_net.layers[:-1]), Y, chunk=16))
     rb_head = realize_batch(Network(rb_net.layers[-1:]), shared)
