@@ -302,42 +302,61 @@ def _network_doc(net):
                 "indices": A.indices.tolist(),
                 "indptr": A.indptr.tolist(),
                 "b": b.tolist(),
+                **({"square": True} if tag == "square" else {}),
             }
-            for A, b in net.layers
+            for A, b, tag in net._layers
         ],
     }
 
 
 def save_network(path, net):
-    """Write the network as JSON: each layer's CSR arrays (data, indices,
-    indptr) and bias.  Floats use shortest round-trip decimals, so save/load
-    is bit-exact for finite doubles and keeps the sparsity structure,
-    explicitly stored zeros included."""
+    """Write the network as JSON, its layers as stored: each layer's CSR
+    arrays (data, indices, indptr) and bias, and "square": true on a layer
+    of folded unit pairs.  Floats use shortest round-trip decimals, so
+    save/load is bit-exact for finite doubles and keeps the sparsity
+    structure, explicitly stored zeros included."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(_network_doc(net)))
 
 
 def _layer_from_doc(layer):
-    shape = (int(layer["rows"]), int(layer["cols"]))
+    """(A, b, square) of one layer document; TypeError or ValueError if it is
+    malformed."""
+    shape = (layer["rows"], layer["cols"])
+    if not all(map(_is_size, shape)):
+        raise TypeError(f"layer rows and cols must be integers >= 1, got {shape}")
+    square = "square" in layer
+    if square and layer["square"] is not True:
+        raise TypeError(f'"square" must be true, got {layer["square"]!r}')
     b = np.asarray(layer["b"], dtype=np.float64)
     if "A" in layer:  # dense row-major layout of files written before CSR
-        return np.asarray(layer["A"], dtype=np.float64).reshape(shape), b
+        A = sp.csr_matrix(np.asarray(layer["A"], dtype=np.float64).reshape(shape))
+        return A, b, square
     index = [np.asarray(layer[key]) for key in ("indices", "indptr")]
     if any(a.size and a.dtype.kind != "i" for a in index):
         raise TypeError("CSR index arrays must hold integers")
     A = sp.csr_matrix((np.asarray(layer["data"], dtype=np.float64), *index), shape)
     # scipy's kernels trust the indices; out-of-range ones would read past x
     A.check_format(full_check=True)
-    return A, b
+    return A, b, square
 
 
 def _network_from_doc(doc):
     try:
         layers = [_layer_from_doc(layer) for layer in doc["layers"]]
-        input_dim = int(doc["input_dim"])
+        input_dim = doc["input_dim"]
+        if not _is_size(input_dim):
+            raise TypeError(f"input_dim must be an integer >= 1, got {input_dim!r}")
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidArgument(f"malformed network document: {exc!r}") from exc
-    net = make_network(layers)
+    if any(square for _, _, square in layers):  # written as stored: tags from the keys
+        last = len(layers) - 1
+        net = Network._trusted(
+            _seal(A, b) + ("square" if square else "requ" if k < last else None,)
+            for k, (A, b, square) in enumerate(layers)
+        )
+    else:  # no stored tags, or the lifted layers of older files: check pairs
+        net = make_network([(A, b) for A, b, _ in layers])
     if net.input_dim != input_dim:
         raise DimensionMismatch("declared input_dim does not match first layer")
     return net
@@ -353,5 +372,7 @@ def _read_doc(path):
 
 
 def load_network(path):
-    """Read a network written by save_network; older dense "A" layers load too."""
+    """Read a network written by save_network.  A file with a "square" layer
+    loads as stored, with no pair check; files without one (lifted files of
+    older versions, dense "A" layers) are checked for pairs and folded."""
     return _network_from_doc(_read_doc(path))

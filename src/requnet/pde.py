@@ -522,7 +522,6 @@ def evaluate_error(rb, net, test_params, G, mode, target_eps=None, outputs=None)
             f"network emits {net.output_dim} outputs, mode {mode!r} needs {expected_out}"
         )
 
-    u_rb = np.column_stack([reduced_solve(rb, y) for y in params])
     if outputs is None:
         outputs = realize_batch(net, params.T, chunk=_EVAL_CHUNK)
     outputs = np.asarray(outputs, dtype=np.float64)
@@ -531,29 +530,37 @@ def evaluate_error(rb, net, test_params, G, mode, target_eps=None, outputs=None)
             f"outputs have shape {outputs.shape}, expected {(expected_out, params.shape[0])}"
         )
 
-    err_euclid = err_g = err_rel = None
-    if mode == "euclidean-rb":
-        err_euclid = np.linalg.norm(u_rb - outputs, axis=0)
-        errors = err_euclid
-    else:
-        _check_gram(G)
-        lifted = rb.V @ u_rb
-        errors = np.array([_g_norm(G, e) for e in (lifted - outputs).T])
-        if mode == "g-norm-h":
-            err_g = errors
-        else:
-            errors = errors / np.array([_g_norm(G, u) for u in lifted.T])
-            err_rel = errors
+    k = _MODES.index(mode)
+    columns = _error_columns(rb, params, G, *((outputs, None) if k == 0 else (None, outputs)))
+    errors = columns[k]
     return ErrorReport(
         params=params,
         mode=mode,
-        err_euclid_rb=err_euclid,
-        err_g_h=err_g,
-        err_rel_g=err_rel,
+        err_euclid_rb=errors if k == 0 else None,
+        err_g_h=errors if k == 1 else None,
+        err_rel_g=errors if k == 2 else None,
         worst_case=float(errors.max()),
         target_eps=None if target_eps is None else float(target_eps),
         rb_truncation=rb.truncation_sup,
     )
+
+
+def _error_columns(rb, params, G, out_rb, out_h):
+    """The error columns (err_euclid_rb, err_g_h, err_rel_g) against the
+    reduced solutions u_rb, solved once per parameter: the Euclidean one of
+    reduced outputs out_rb, and after one check of G the absolute and
+    relative G-norm ones of high-fidelity outputs out_h (one column per
+    parameter each).  A column whose outputs are not given is None."""
+    u_rb = np.column_stack([reduced_solve(rb, y) for y in params])
+    err_euclid = err_g = err_rel = None
+    if out_rb is not None:
+        err_euclid = np.linalg.norm(u_rb - out_rb, axis=0)
+    if out_h is not None:
+        _check_gram(G)
+        lifted = rb.V @ u_rb
+        err_g = np.array([_g_norm(G, e) for e in (lifted - out_h).T])
+        err_rel = err_g / np.array([_g_norm(G, u) for u in lifted.T])
+    return err_euclid, err_g, err_rel
 
 
 def write_error_csv(path, params, err_euclid_rb, err_g_h, err_rel_g):

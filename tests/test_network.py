@@ -321,6 +321,30 @@ def test_network_file_format_schema(tmp_path):
     assert layer["b"] == [0.0, 1.0]
 
 
+def test_folded_network_file_format_schema(tmp_path):
+    """A layer of (z, -z) unit pairs is saved as stored: its even rows, with
+    "square": true, and the next layer keeps its even columns."""
+    net = mult_network(1, 1, 1)
+    path = tmp_path / "net.json"
+    save_network(path, net)
+    hidden, out = json.loads(path.read_text())["layers"]
+    assert set(hidden) == {"rows", "cols", "data", "indices", "indptr", "b", "square"}
+    assert hidden["square"] is True
+    assert (hidden["rows"], hidden["cols"]) == (2, 2)
+    assert hidden["data"] == [1.0, 1.0, 1.0, -1.0]
+    assert hidden["indices"] == [0, 1, 0, 1]
+    assert hidden["indptr"] == [0, 2, 4]
+    assert hidden["b"] == [0.0, 0.0]
+    assert set(out) == {"rows", "cols", "data", "indices", "indptr", "b"}
+    assert (out["rows"], out["cols"]) == (1, 2)
+    assert out["data"] == [0.25, -0.25]
+    assert out["indices"] == [0, 1]
+    (A1, b1), (A2, _) = net.layers
+    assert np.array_equal(A1.toarray()[0::2], [[1.0, 1.0], [1.0, -1.0]])
+    assert b1[0::2].tolist() == hidden["b"]
+    assert np.array_equal(A2.toarray()[:, 0::2], [[0.25, -0.25]])
+
+
 def test_save_load_keeps_csr_structure(tmp_path):
     """data/indices/indptr come back exactly, an explicitly stored zero too."""
     A = sp.csr_matrix(
@@ -371,6 +395,27 @@ def test_dense_network_document_still_loads(tmp_path):
     assert np.array_equal(realize(net, x), realize(make_network(want), x))
 
 
+# mult_network(1, 1, 1) in the layout written before stored layers were
+# saved: its ReQU layers, lifted, with no "square" key; such files must keep
+# loading, through the pair check.
+LIFTED_DOC = (
+    '{"input_dim": 2, "layers": [{"rows": 4, "cols": 2, "data": [1.0, 1.0, -1.0, '
+    '-1.0, 1.0, -1.0, -1.0, 1.0], "indices": [0, 1, 0, 1, 0, 1, 0, 1], "indptr": '
+    '[0, 2, 4, 6, 8], "b": [0.0, 0.0, 0.0, 0.0]}, {"rows": 1, "cols": 4, "data": '
+    '[0.25, 0.25, -0.25, -0.25], "indices": [0, 1, 2, 3], "indptr": [0, 4], "b": [0.0]}]}'
+)
+
+
+def test_lifted_network_document_still_loads(tmp_path):
+    path = tmp_path / "lifted.json"
+    path.write_text(LIFTED_DOC)
+    net, want = load_network(path), mult_network(1, 1, 1)
+    assert _tags(net) == ("square", None)
+    _assert_same_store(net, want)
+    X = rng.uniform(-2, 2, (2, 17))
+    assert realize_batch(net, X).tobytes() == realize_batch(want, X).tobytes()
+
+
 def _csr_doc():
     return {
         "input_dim": 2,
@@ -410,6 +455,17 @@ def test_load_csr_document_reference(tmp_path):
         ("data", ["x", "y"]),
         ("b", "zero"),
         ("rows", None),
+        ("rows", 2.7),  # a float int() would truncate
+        ("rows", 2.0),
+        ("rows", 0),
+        ("rows", True),
+        ("cols", "2"),  # a string int() would parse
+        ("cols", -2),
+        ("square", True),  # the output layer is affine
+        ("square", False),
+        ("square", 1),
+        ("square", "yes"),
+        ("square", None),
     ],
 )
 def test_load_rejects_malformed_csr_layer(tmp_path, key, value):
@@ -430,10 +486,46 @@ def test_load_rejects_missing_layer_key(tmp_path, key):
 @pytest.mark.parametrize(
     "doc",
     [{"layers": _csr_doc()["layers"]}, {"input_dim": 2}, {"input_dim": 2, "layers": 3},
-     {"input_dim": 2, "layers": [3]}, [], "net"],
+     {"input_dim": 2, "layers": [3]}, [], "net",
+     {"input_dim": 2.9, "layers": _csr_doc()["layers"]},
+     {"input_dim": "2", "layers": _csr_doc()["layers"]},
+     {"input_dim": 2.0, "layers": _csr_doc()["layers"]},
+     {"input_dim": True, "layers": _csr_doc()["layers"]},
+     {"input_dim": 0, "layers": _csr_doc()["layers"]}],
 )
 def test_load_rejects_malformed_document(tmp_path, doc):
     with pytest.raises(InvalidArgument):
+        _load_doc(tmp_path, doc)
+
+
+@pytest.mark.parametrize(
+    "key, value", [("rows", 2.7), ("rows", "2"), ("cols", 3.0), ("cols", "3"), ("rows", 0)]
+)
+def test_load_rejects_malformed_dense_layer_sizes(tmp_path, key, value):
+    doc = json.loads(DENSE_DOC)
+    doc["layers"][0][key] = value
+    with pytest.raises(InvalidArgument):
+        _load_doc(tmp_path, doc)
+
+
+def _folded_doc(tmp_path):
+    save_network(tmp_path / "net.json", mult_network(1, 1, 1))
+    return json.loads((tmp_path / "net.json").read_text())
+
+
+@pytest.mark.parametrize("value", [False, 1, 1.0, "yes", "true", None, [True]])
+def test_load_rejects_a_square_key_other_than_true(tmp_path, value):
+    doc = _folded_doc(tmp_path)
+    _assert_same_store(_load_doc(tmp_path, doc), mult_network(1, 1, 1))
+    doc["layers"][0]["square"] = value
+    with pytest.raises(InvalidArgument, match="square"):
+        _load_doc(tmp_path, doc)
+
+
+def test_load_rejects_a_square_output_layer(tmp_path):
+    doc = _folded_doc(tmp_path)
+    doc["layers"][1]["square"] = True
+    with pytest.raises(InvalidArgument, match="affine"):
         _load_doc(tmp_path, doc)
 
 
@@ -723,6 +815,28 @@ def test_pairing_flags_are_exact_pairings(fold_nets, mixed_nets, name):
         assert set(tags[:-1]) <= {"square"}
     X = rng.uniform(-1, 1, (net.input_dim, 32))
     assert realize_batch(net, X).tobytes() == _layer_loop(net, X).tobytes()
+
+
+def _assert_same_store(net, want):
+    """The same stored layers: tags, shapes, and the bytes of the CSR arrays
+    and bias."""
+    assert _tags(net) == _tags(want)
+    for (A, b, _), (A_want, b_want, _) in zip(net._layers, want._layers):
+        assert A.shape == A_want.shape
+        assert A.data.tobytes() == A_want.data.tobytes()
+        assert np.array_equal(A.indices, A_want.indices)
+        assert np.array_equal(A.indptr, A_want.indptr)
+        assert b.tobytes() == b_want.tobytes()
+
+
+@pytest.mark.parametrize("name", FOLD_NETS + MIXED_NETS)
+def test_save_load_keeps_the_stored_layers(fold_nets, mixed_nets, tmp_path, name):
+    net = fold_nets[name][0] if name in fold_nets else mixed_nets[name]
+    save_network(tmp_path / "net.json", net)
+    loaded = load_network(tmp_path / "net.json")
+    _assert_same_store(loaded, net)
+    save_network(tmp_path / "again.json", loaded)
+    assert (tmp_path / "again.json").read_bytes() == (tmp_path / "net.json").read_bytes()
 
 
 @pytest.mark.parametrize("name", ["inversion l7", "parallel", "h_net"])

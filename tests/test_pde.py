@@ -39,7 +39,8 @@ from requnet import (
     vec,
     write_error_csv,
 )
-from requnet.pde import _upper_band
+from requnet import pde
+from requnet.pde import _error_columns, _upper_band
 
 
 @pytest.fixture(scope="module")
@@ -546,6 +547,24 @@ def test_evaluate_error_modes_agree_on_shared_outputs(sys9, rb9):
     assert rep_abs.worst_case <= 1e-2
 
 
+def test_error_columns_match_the_modes_with_one_check_and_solve(sys9, rb9, monkeypatch):
+    rb_net, h_net = solution_network(rb9, 1e-3, 1.01 * np.linalg.norm(rb9.f_rb))
+    params = np.random.default_rng(8).uniform(0, 1, (5, rb9.p))
+    out_rb, out_h = realize_batch(rb_net, params.T), realize_batch(h_net, params.T)
+    want = (
+        evaluate_error(rb9, rb_net, params, sys9.G, "euclidean-rb", outputs=out_rb).err_euclid_rb,
+        evaluate_error(rb9, h_net, params, sys9.G, "g-norm-h", outputs=out_h).err_g_h,
+        evaluate_error(rb9, h_net, params, sys9.G, "relative-g", outputs=out_h).err_rel_g,
+    )
+    calls = []
+    for name in ("_check_gram", "reduced_solve"):
+        real = getattr(pde, name)
+        monkeypatch.setattr(pde, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
+    got = _error_columns(rb9, params, sys9.G, out_rb, out_h)
+    assert calls.count("_check_gram") == 1 and calls.count("reduced_solve") == len(params)
+    assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
+
 def test_evaluate_error_validation(sys9, rb9):
     params = np.zeros((2, 4))
     rb_net, h_net = solution_network(rb9, 0.5, 1.01 * np.linalg.norm(rb9.f_rb))
@@ -654,6 +673,20 @@ def test_save_load_reduced_round_trip(tmp_path):
     assert rb2.truncation_sup == rb.truncation_sup
     for y in np.linspace(0, 1, 7):
         assert (realize(net2, [y]) == realize(rb_net, [y])).all()
+
+
+def test_save_load_reduced_keeps_the_stored_layers(tmp_path, rb9):
+    path = tmp_path / "solution.json"
+    for net in solution_network(rb9, 1e-3, 1.01 * np.linalg.norm(rb9.f_rb)):
+        save_reduced_network(path, net, rb9)
+        loaded, _ = load_reduced_network(path)
+        assert loaded.depth == net.depth
+        for (A, b, tag), (A_want, b_want, tag_want) in zip(loaded._layers, net._layers):
+            assert tag == tag_want and A.shape == A_want.shape
+            assert A.data.tobytes() == A_want.data.tobytes()
+            assert np.array_equal(A.indices, A_want.indices)
+            assert np.array_equal(A.indptr, A_want.indptr)
+            assert b.tobytes() == b_want.tobytes()
 
 
 def test_load_reduced_network_without_truncation_sup(tmp_path, sys9):
