@@ -83,22 +83,18 @@ class Network:
 
     Tag "square" marks a layer of unit pairs (z, -z), as sigma2(z) +
     sigma2(-z) = z^2: it keeps its even rows, z^2 follows it and the next
-    layer keeps its even columns.  Other hidden layers are "requ", the output
-    layer None.  `layers` derives the ReQU layers.  Instances are validated
-    on construction and safe to share across threads; the CSR arrays and
-    biases are read-only, so the calculus passes stored layers on as they are.
+    layer keeps its even columns.  Only the gadgets that emit such pairs set
+    it (or a file that recorded it); other hidden layers are "requ", the
+    output layer None.  `layers` derives the ReQU layers.  Instances are
+    validated on construction and safe to share across threads; the CSR
+    arrays and biases are read-only, so the calculus passes stored layers on
+    as they are.
     """
 
     __slots__ = ("_layers", "input_dim", "output_dim")
 
     def __init__(self, layers):
-        layers = tuple(_seal(*_owned(A, b)) for A, b in layers)
-        paired = [_is_paired(*layer, nxt) for layer, (nxt, _) in zip(layers, layers[1:])]
-        tags = ["square" if p else "requ" for p in paired] + [None]
-        self._set_layers(
-            _fold(A, b, tag == "square", prev == "square") + (tag,)
-            for (A, b), tag, prev in zip(layers, tags, [None] + tags)
-        )
+        self._set_layers(_tagged([_seal(*_owned(A, b)) + (False,) for A, b in layers]))
 
     @classmethod
     def _trusted(cls, layers):
@@ -163,7 +159,8 @@ class ComplexityReport:
 
 
 def make_network(layers):
-    """Validate and build a Network from (matrix, bias) pairs.
+    """Validate and build a Network from (matrix, bias) pairs, each stored as
+    given: its hidden layers are "requ", whatever their weights.
 
     Matrices may be dense arrays or scipy sparse; biases are 1-d vectors
     whose length matches the matrix row count.  Writable inputs are
@@ -224,38 +221,10 @@ def _evaluate(layers, X, chunk=None):
     return X
 
 
-def _is_paired(A, b, nxt):
-    """Whether each odd row of (A, b) is bit for bit 0.0 minus the row before
-    it, and nxt stores bitwise-equal entries at columns (2i, 2i + 1) of each
-    row: exactly the layers that _fold and _lift turn into each other."""
-    rows, counts, idx = A.shape[0], np.diff(A.indptr), nxt.indices
-    if rows % 2 or nxt.shape[1] != rows or b[1::2].tobytes() != (0.0 - b[0::2]).tobytes():
-        return False
-    if (nxt.indptr % 2).any() or not np.array_equal(counts[1::2], counts[0::2]):
-        return False
-    even = np.repeat(np.arange(rows) % 2 == 0, counts)
-    return (
-        np.array_equal(A.indices[~even], A.indices[even])
-        and A.data[~even].tobytes() == (0.0 - A.data[even]).tobytes()
-        and not (idx[0::2] % 2).any()
-        and np.array_equal(idx[1::2], idx[0::2] + 1)
-        and nxt.data[1::2].tobytes() == nxt.data[0::2].tobytes()
-    )
-
-
-def _fold(A, b, even_rows, even_cols):
-    """(A, b) cut to its even rows, then its even columns, as asked; exact
-    where _is_paired holds."""
-    if not (even_rows or even_cols):
-        return A, b
-    if even_rows:
-        A, b = A[0::2], b[0::2]
-    return _seal(A[:, 0::2] if even_cols else A, b)
-
-
 def _lift(A, b, odd_rows, odd_cols):
-    """Inverse of _fold: each row followed by 0.0 minus it (-row would turn
-    +0 into -0), then each column entry repeated at 2j and 2j + 1, as asked."""
+    """The ReQU form of a stored layer: each row followed by 0.0 minus it
+    (-row would turn +0 into -0), then each column entry repeated at 2j and
+    2j + 1, as asked."""
     if not (odd_rows or odd_cols):
         return A, b
     data, indices, indptr = A.data, A.indices, A.indptr
@@ -289,6 +258,16 @@ def complexity(net):
         total_nnz=sum(layer_nnz),
         layer_nnz=tuple(layer_nnz),
     )
+
+
+def _tagged(layers):
+    """Stored layers of sealed (A, b, square) triples: "square" as given,
+    else "requ" for a hidden layer and None for the output layer."""
+    last = len(layers) - 1
+    return [
+        (A, b, "square" if square else "requ" if k < last else None)
+        for k, (A, b, square) in enumerate(layers)
+    ]
 
 
 def _network_doc(net):
@@ -349,14 +328,7 @@ def _network_from_doc(doc):
             raise TypeError(f"input_dim must be an integer >= 1, got {input_dim!r}")
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidArgument(f"malformed network document: {exc!r}") from exc
-    if any(square for _, _, square in layers):  # written as stored: tags from the keys
-        last = len(layers) - 1
-        net = Network._trusted(
-            _seal(A, b) + ("square" if square else "requ" if k < last else None,)
-            for k, (A, b, square) in enumerate(layers)
-        )
-    else:  # no stored tags, or the lifted layers of older files: check pairs
-        net = make_network([(A, b) for A, b, _ in layers])
+    net = Network._trusted(_tagged([_seal(A, b) + (square,) for A, b, square in layers]))
     if net.input_dim != input_dim:
         raise DimensionMismatch("declared input_dim does not match first layer")
     return net
@@ -372,7 +344,8 @@ def _read_doc(path):
 
 
 def load_network(path):
-    """Read a network written by save_network.  A file with a "square" layer
-    loads as stored, with no pair check; files without one (lifted files of
-    older versions, dense "A" layers) are checked for pairs and folded."""
+    """Read a network written by save_network, its layers as stored: a layer
+    is "square" where the file says so, else "requ" (the output layer
+    affine).  Lifted files of older versions and dense "A" layers load as
+    they are written, unfolded."""
     return _network_from_doc(_read_doc(path))

@@ -37,7 +37,7 @@ from .errors import (
     SingularSystem,
 )
 from .matrixnets import inversion_network, vec
-from .network import _network_doc, _network_from_doc, _read_doc, realize_batch
+from .network import _is_size, _network_doc, _network_from_doc, _read_doc, realize_batch
 
 __all__ = [
     "AffineSystem",
@@ -181,13 +181,13 @@ def _stiffness_coo(dofs, kloc, D):
 
 
 def _check_grid(grid_n):
-    if int(grid_n) != grid_n or grid_n < 3:
+    if not _is_size(grid_n, 3):
         raise InvalidArgument(f"grid_n must be an integer >= 3, got {grid_n}")
 
 
 def _validate_system_args(grid_n, s, mu):
     _check_grid(grid_n)
-    if int(s) != s or s < 1:
+    if not _is_size(s):
         raise InvalidArgument(f"chessboard side s must be an integer >= 1, got {s}")
     if not np.isfinite(mu) or mu <= 0:
         raise InvalidArgument(f"shift mu must be positive, got {mu}")
@@ -381,6 +381,8 @@ def _reduced_operator(rb, y):
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (rb.p,):
         raise DimensionMismatch(f"parameter has shape {y.shape}, expected ({rb.p},)")
+    if not np.isfinite(y).all():
+        raise InvalidArgument("parameter has non-finite entries")
     th = rb.theta[0].copy()
     for yi, ti in zip(y, rb.theta[1:]):
         th += yi * ti
@@ -635,7 +637,8 @@ def load_reduced_network(path):
 
 def _check_reduced_payload(net, rb):
     """Raise InvalidArgument unless V is D x d, theta holds p + 1 >= 2
-    d x d matrices, f_rb has length d and net maps p inputs to d or D."""
+    d x d matrices, f_rb has length d, net maps p inputs to d or D, and V,
+    theta, f_rb, alpha, beta and truncation_sup (unless None) are finite."""
     shapes = {t.shape for t in rb.theta}
     ok = rb.V.ndim == 2 and shapes == {(rb.d, rb.d)} and rb.f_rb.shape == (rb.d,)
     if not (ok and net.input_dim == rb.p and net.output_dim in (rb.d, rb.V.shape[0])):
@@ -643,3 +646,6 @@ def _check_reduced_payload(net, rb):
             f"inconsistent reduced network: V {rb.V.shape}, theta {sorted(shapes)}, "
             f"f_rb {rb.f_rb.shape}, network {net.input_dim} -> {net.output_dim} values"
         )
+    sup = 0.0 if rb.truncation_sup is None else rb.truncation_sup
+    if not all(np.isfinite(a).all() for a in (rb.V, *rb.theta, rb.f_rb, rb.alpha, rb.beta, sup)):
+        raise InvalidArgument("reduced-basis payload has non-finite entries")

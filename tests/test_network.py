@@ -397,7 +397,7 @@ def test_dense_network_document_still_loads(tmp_path):
 
 # mult_network(1, 1, 1) in the layout written before stored layers were
 # saved: its ReQU layers, lifted, with no "square" key; such files must keep
-# loading, through the pair check.
+# loading, as written (unfolded).
 LIFTED_DOC = (
     '{"input_dim": 2, "layers": [{"rows": 4, "cols": 2, "data": [1.0, 1.0, -1.0, '
     '-1.0, 1.0, -1.0, -1.0, 1.0], "indices": [0, 1, 0, 1, 0, 1, 0, 1], "indptr": '
@@ -410,10 +410,12 @@ def test_lifted_network_document_still_loads(tmp_path):
     path = tmp_path / "lifted.json"
     path.write_text(LIFTED_DOC)
     net, want = load_network(path), mult_network(1, 1, 1)
-    assert _tags(net) == ("square", None)
-    _assert_same_store(net, want)
+    assert _tags(net) == ("requ", None)
     X = rng.uniform(-2, 2, (2, 17))
     assert realize_batch(net, X).tobytes() == realize_batch(want, X).tobytes()
+    assert complexity(net) == complexity(want)
+    save_network(tmp_path / "again.json", net)
+    assert (tmp_path / "again.json").read_text() == LIFTED_DOC
 
 
 def _csr_doc():
@@ -663,7 +665,7 @@ def test_folded_evaluation_is_bit_identical_to_layer_loop(fold_nets, name):
 
 def _paired_layers(n=3, h=3, m=2):
     """Input n -> 2h hidden units (w_i x + c_i, -(w_i x + c_i)) -> m outputs
-    weighting each pair equally: the shape the fold looks for."""
+    weighting each pair equally, given to make_network with no tag."""
     W, c, V = rng.standard_normal((h, n)), rng.standard_normal(h), rng.standard_normal((m, h))
     A1 = np.empty((2 * h, n))
     A1[0::2], A1[1::2] = W, -W
@@ -700,9 +702,14 @@ def _near_miss(kind):
     return make_network(layers)
 
 
-def test_paired_layers_fold():
-    net = make_network(_paired_layers())
-    assert _tags(net) == ("square", None)
+def test_paired_layers_are_stored_as_given():
+    layers = _paired_layers()
+    net = make_network(layers)
+    assert _tags(net) == ("requ", None)
+    for (A, b, _), (A_in, b_in) in zip(net._layers, layers):
+        assert np.array_equal(A.toarray(), A_in) and b.tobytes() == b_in.tobytes()
+    X = 3.0 * rng.standard_normal((net.input_dim, 32))
+    assert realize_batch(net, X).tobytes() == _layer_loop(net, X).tobytes()
 
 
 @pytest.mark.parametrize(
@@ -811,7 +818,7 @@ def test_pairing_flags_are_exact_pairings(fold_nets, mixed_nets, name):
     for k, tag in enumerate(tags[:-1]):
         assert tag in ("square", "requ")
         assert tag == "requ" or _pairs_exactly(layers[k], layers[k + 1]), k
-    if name in fold_nets or name.startswith("pure"):
+    if name in fold_nets:
         assert set(tags[:-1]) <= {"square"}
     X = rng.uniform(-1, 1, (net.input_dim, 32))
     assert realize_batch(net, X).tobytes() == _layer_loop(net, X).tobytes()
@@ -841,7 +848,7 @@ def test_save_load_keeps_the_stored_layers(fold_nets, mixed_nets, tmp_path, name
 
 @pytest.mark.parametrize("name", ["inversion l7", "parallel", "h_net"])
 def test_loaded_network_flags_match_the_calculus(fold_nets, tmp_path, name):
-    # a loaded network's tags come from the exact check at construction
+    # a loaded network's tags come from the "square" keys of its file
     net = fold_nets[name][0]
     save_network(tmp_path / "net.json", net)
     assert _tags(load_network(tmp_path / "net.json")) == _tags(net)

@@ -90,9 +90,15 @@ def test_parametric_operator_is_spd(sys9):
 
 
 def test_assembly_rejects_bad_args():
-    for grid_n, s, mu in [(2, 1, 0.1), (9, 0, 0.1), (9, 2, 0.0), (9, 2, -1.0)]:
+    for grid_n, s, mu in [
+        (2, 1, 0.1), (9, 0, 0.1), (9, 2, 0.0), (9, 2, -1.0),
+        (np.inf, 2, 0.1), (np.nan, 2, 0.1), (9.0, 2, 0.1), (9, True, 0.1), (9, 2.0, 0.1),
+    ]:
         with pytest.raises(InvalidArgument):
             assemble_affine_system(grid_n, s, mu)
+    for grid_n in (2, np.inf, np.nan, 9.0, True):
+        with pytest.raises(InvalidArgument):
+            assemble_load(grid_n, lambda x, y: np.ones_like(x))
 
 
 def test_constant_load_gives_h_squared():
@@ -171,10 +177,12 @@ def test_solve_rejects_wrong_parameter_shape(sys9):
         solve_high_fidelity(sys9, np.zeros(3))
 
 
-def test_solve_rejects_non_finite_parameter(sys9):
-    for bad in (np.nan, np.inf):
-        with pytest.raises(InvalidArgument):
-            solve_high_fidelity(sys9, np.array([0.5, bad, 0.5, 0.5]))
+def test_solve_rejects_non_finite_parameter(sys9, rb9):
+    for bad in (np.nan, np.inf, -np.inf):
+        y = np.array([0.5, bad, 0.5, 0.5])
+        for solve, system in ((solve_high_fidelity, sys9), (reduced_solve, rb9)):
+            with pytest.raises(InvalidArgument):
+                solve(system, y)
 
 
 def test_solve_matches_dense_oracle(sys9):
@@ -576,6 +584,11 @@ def test_evaluate_error_validation(sys9, rb9):
         evaluate_error(rb9, h_net, params, sys9.G, "euclidean-rb")
     with pytest.raises(DimensionMismatch):
         evaluate_error(rb9, rb_net, np.zeros((2, 3)), sys9.G, "euclidean-rb")
+    # given outputs skip realize_batch's input check; the reduced solve rejects NaN
+    params[1, 2] = np.nan
+    for net, mode in ((rb_net, "euclidean-rb"), (h_net, "g-norm-h"), (h_net, "relative-g")):
+        with pytest.raises(InvalidArgument):
+            evaluate_error(rb9, net, params, sys9.G, mode, outputs=np.zeros((net.output_dim, 2)))
 
 
 def test_evaluate_error_g_norms_match_cholesky_oracle(sys9, rb9):
@@ -765,6 +778,12 @@ def test_load_reduced_rejects_malformed_document(tmp_path, edit):
         load_reduced_network(path)
 
 
+def _poisoned(a, value):
+    a = np.array(a)
+    a.flat[a.size // 2] = value
+    return a
+
+
 @pytest.mark.parametrize(
     "edit",
     [
@@ -774,12 +793,23 @@ def test_load_reduced_rejects_malformed_document(tmp_path, edit):
         lambda rb: dict(f_rb=rb.f_rb[:-1]),
         lambda rb: dict(theta=rb.theta[:2]),
         lambda rb: dict(V=rb.V[:-1]),
+        lambda rb: dict(V=_poisoned(rb.V, np.nan)),
+        lambda rb: dict(theta=(_poisoned(rb.theta[0], np.inf),) + rb.theta[1:]),
+        lambda rb: dict(f_rb=_poisoned(rb.f_rb, -np.inf)),
+        lambda rb: dict(alpha=np.nan),
+        lambda rb: dict(beta=np.inf),
+        lambda rb: dict(truncation_sup=np.nan),
+        lambda rb: dict(truncation_sup=np.inf),
     ],
-    ids=["V-3d", "theta-one-entry", "theta-3x3", "f_rb-short", "p-mismatch", "V-one-row-fewer"],
+    ids=[
+        "V-3d", "theta-one-entry", "theta-3x3", "f_rb-short", "p-mismatch", "V-one-row-fewer",
+        "V-nan", "theta-inf", "f_rb-minus-inf", "alpha-nan", "beta-inf", "truncation_sup-nan",
+        "truncation_sup-inf",
+    ],
 )
 def test_load_reduced_rejects_inconsistent_payload(tmp_path, rb9, edit):
     """Each payload parses, but disagrees with itself or with the network
-    (p = 4 inputs to D outputs)."""
+    (p = 4 inputs to D outputs), or holds a non-finite number."""
     net = affine_network(np.ones((rb9.V.shape[0], rb9.p)))
     path = tmp_path / "inconsistent.json"
     save_reduced_network(path, net, rb9)
