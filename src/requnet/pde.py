@@ -21,6 +21,7 @@ end-to-end error against the reduced solve stays below epsilon.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 from dataclasses import dataclass
 
@@ -78,6 +79,34 @@ class AffineSystem:
     Bs: tuple
     f: np.ndarray
     G: sp.csr_matrix
+
+    @functools.cached_property
+    def _band_plan(self):
+        """B_y's LAPACK upper band storage, planned once per system.
+
+        Returns ((bw + 1, D), pieces): bw is the largest j - i over the
+        stored entries of all pieces (grid_n for the row-major node
+        numbering), and pieces holds, for B0, Bs[0], ..., Bs[p-1] in turn,
+        the flat positions in that storage of the piece's upper-triangle
+        entries (B[i, j] sits at row bw + i - j of column j) and their
+        values.  Positions are unique within a piece.  Each piece must be
+        exactly symmetric, since only the upper band is read; one that is
+        not raises InvalidArgument.
+        """
+        uppers = []
+        for k, B in enumerate((self.B0, *self.Bs)):
+            if (B != B.T).nnz:
+                name = "B0" if k == 0 else f"Bs[{k - 1}]"
+                raise InvalidArgument(f"high-fidelity operator piece {name} is not symmetric")
+            U = sp.triu(B, format="coo")
+            U.sum_duplicates()
+            uppers.append(U)
+        bw = max(int((U.col - U.row).max(initial=0)) for U in uppers)
+        shape = (bw + 1, self.D)
+        pieces = tuple(
+            (np.ravel_multi_index((bw + U.row - U.col, U.col), shape), U.data) for U in uppers
+        )
+        return shape, pieces
 
 
 @dataclass(frozen=True)
@@ -259,47 +288,44 @@ def assemble_affine_system(grid_n, s, mu):
     )
 
 
-def _parametric_matrix(sys, y):
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != (sys.p,):
-        raise DimensionMismatch(
-            f"parameter has shape {y.shape}, expected ({sys.p},)"
-        )
+def _real(a, what):
+    """a as a float64 array; complex, text or object entries raise
+    InvalidArgument instead of being cast (or parsed) to real numbers."""
+    a = np.asarray(a)
+    if a.dtype.kind not in "biuf":
+        raise InvalidArgument(f"{what} must be real numbers, got dtype {a.dtype}")
+    return a.astype(np.float64, copy=False)
+
+
+def _parameter(y, p):
+    """One parameter of either solve: a real, finite vector of length p."""
+    y = _real(y, "parameter")
+    if y.shape != (p,):
+        raise DimensionMismatch(f"parameter has shape {y.shape}, expected ({p},)")
     if not np.isfinite(y).all():
         raise InvalidArgument("parameter has non-finite entries")
-    B = sys.B0
-    for yi, Bi in zip(y, sys.Bs):
-        B = B + yi * Bi
-    return B.tocsr()
-
-
-def _upper_band(B):
-    """Upper band of a square sparse matrix in LAPACK storage.
-
-    Row bw + i - j of column j holds B[i, j] for j - bw <= i <= j, where
-    the half-bandwidth bw is the largest j - i among the stored entries:
-    (bw + 1) * D doubles, grid_n + 1 rows for the row-major node numbering.
-    """
-    U = sp.triu(B, format="coo")
-    bw = int((U.col - U.row).max(initial=0))
-    ab = np.zeros((bw + 1, B.shape[0]))
-    ab[bw + U.row - U.col, U.col] = U.data
-    return ab
+    return y
 
 
 def solve_high_fidelity(sys, y):
     """Banded Cholesky solve of B_y u = f at one parameter.
 
-    Only the upper band of B_y is read, so an asymmetric B_y raises
-    InvalidArgument; one that is not positive definite (mu + y_i < 0 on
+    B_y's upper band is scattered from the system's band plan, B0's values
+    first and then y_i times those of Bs[i-1], in the order of the sum
+    B0 + y_1 Bs[0] + ... .  An asymmetric piece raises InvalidArgument at
+    any parameter; a B_y that is not positive definite (mu + y_i < 0 on
     some subdomain, say) raises SingularSystem.  Costs O(D * bw^2) time and
     (bw + 1) * D doubles with bw the half-bandwidth.
     """
-    B = _parametric_matrix(sys, y)
-    if (B != B.T).nnz:
-        raise InvalidArgument("high-fidelity operator is not symmetric")
+    y = _parameter(y, sys.p)
+    shape, ((pos, vals), *terms) = sys._band_plan
+    ab = np.zeros(shape)
+    band = ab.reshape(-1)
+    band[pos] = vals
+    for yi, (pos, vals) in zip(y, terms):
+        band[pos] += yi * vals
     try:
-        u = sla.solveh_banded(_upper_band(B), sys.f, check_finite=False)
+        u = sla.solveh_banded(ab, sys.f, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(
             f"high-fidelity operator is not positive definite: {exc}"
@@ -314,6 +340,16 @@ def _g_norm(G, v):
     return np.sqrt(max(float(v @ (G @ v)), 0.0))
 
 
+def _g_norms(G, E):
+    """_g_norm of every column of E, with one sparse product G @ E.
+
+    For a C-ordered E, as _error_columns passes, each ddot runs over
+    strided columns as in _g_norm, and the values agree bit for bit.
+    """
+    GE = G @ E
+    return np.array([np.sqrt(max(float(e @ ge), 0.0)) for e, ge in zip(E.T, GE.T)])
+
+
 def build_reduced_basis(sys, snapshot_params, drop_tol=1e-8):
     """Snapshot solves plus modified Gram-Schmidt in the G-inner product.
 
@@ -322,7 +358,7 @@ def build_reduced_basis(sys, snapshot_params, drop_tol=1e-8):
     snapshots are numerically dependent) and dropped when its residual
     G-norm falls below drop_tol times the largest snapshot G-norm.
     """
-    params = np.asarray(snapshot_params, dtype=np.float64)
+    params = _real(snapshot_params, "snapshot parameters")
     if params.ndim == 1 and sys.p == 1:
         params = params.reshape(-1, 1)
     if params.size == 0:
@@ -378,11 +414,7 @@ def build_reduced_basis(sys, snapshot_params, drop_tol=1e-8):
 
 
 def _reduced_operator(rb, y):
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != (rb.p,):
-        raise DimensionMismatch(f"parameter has shape {y.shape}, expected ({rb.p},)")
-    if not np.isfinite(y).all():
-        raise InvalidArgument("parameter has non-finite entries")
+    y = _parameter(y, rb.p)
     th = rb.theta[0].copy()
     for yi, ti in zip(y, rb.theta[1:]):
         th += yi * ti
@@ -507,13 +539,15 @@ def evaluate_error(rb, net, test_params, G, mode, target_eps=None, outputs=None)
     """
     if mode not in _MODES:
         raise InvalidArgument(f"mode must be one of {_MODES}, got {mode!r}")
-    params = np.asarray(test_params, dtype=np.float64)
+    params = _real(test_params, "test parameters")
     if params.ndim == 1 and rb.p == 1:
         params = params.reshape(-1, 1)
     if params.ndim != 2 or params.shape[1] != rb.p:
         raise DimensionMismatch(
             f"test parameters have shape {params.shape}, expected (*, {rb.p})"
         )
+    if params.shape[0] == 0:
+        raise InvalidArgument("need at least one test parameter")
     if net.input_dim != rb.p:
         raise DimensionMismatch(
             f"network consumes {net.input_dim} inputs, parameters have {rb.p}"
@@ -560,8 +594,8 @@ def _error_columns(rb, params, G, out_rb, out_h):
     if out_h is not None:
         _check_gram(G)
         lifted = rb.V @ u_rb
-        err_g = np.array([_g_norm(G, e) for e in (lifted - out_h).T])
-        err_rel = err_g / np.array([_g_norm(G, u) for u in lifted.T])
+        err_g = _g_norms(G, lifted - out_h)
+        err_rel = err_g / _g_norms(G, lifted)
     return err_euclid, err_g, err_rel
 
 
@@ -579,6 +613,8 @@ def write_error_csv(path, params, err_euclid_rb, err_g_h, err_rel_g):
             raise DimensionMismatch(
                 f"error column has shape {c.shape}, expected ({n},)"
             )
+    if n == 0:
+        raise InvalidArgument("need at least one row of errors")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(

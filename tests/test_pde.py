@@ -4,12 +4,16 @@ the composed solution-map network, and error reporting."""
 
 import csv
 import dataclasses
+import functools
 import json
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from requnet import (
     DimensionMismatch,
@@ -40,7 +44,7 @@ from requnet import (
     write_error_csv,
 )
 from requnet import pde
-from requnet.pde import _error_columns, _upper_band
+from requnet.pde import _error_columns, _g_norm, _g_norms
 
 
 @pytest.fixture(scope="module")
@@ -194,15 +198,63 @@ def test_solve_matches_dense_oracle(sys9):
         np.testing.assert_allclose(solve_high_fidelity(sys9, y), want, rtol=1e-12, atol=0)
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        np.array([0.5 + 1j, 0.5, 0.5, 0.5]),
+        [0.5j, 0.5, 0.5, 0.5],
+        ["abc", "0.5", "0.5", "0.5"],
+        ["0.5", "0.5", "0.5", "0.5"],
+        [0.5, None, 0.5, 0.5],
+    ],
+)
+def test_solve_rejects_non_real_parameter(sys9, rb9, bad):
+    for solve, system in ((solve_high_fidelity, sys9), (reduced_solve, rb9)):
+        with pytest.raises(InvalidArgument):
+            solve(system, bad)
+
+
 @pytest.mark.parametrize("grid_n", [3, 9, 33])
 def test_gram_half_bandwidth_is_grid_n(grid_n):
-    G = assemble_affine_system(grid_n, 1, 0.1).G
-    ab = _upper_band(G)
-    assert ab.shape == (grid_n + 1, grid_n * grid_n)
-    # row grid_n - k holds the k-th superdiagonal, padded at the front
+    sys = assemble_affine_system(grid_n, 2, 0.1)
+    shape, pieces = sys._band_plan
+    assert shape == (grid_n + 1, grid_n * grid_n) and len(pieces) == 5
+    for pos, vals in pieces:
+        assert len(np.unique(pos)) == len(pos) == len(vals)
+    ab = np.zeros(shape)
+    ab.reshape(-1)[pieces[0][0]] = pieces[0][1]
+    # row grid_n - k holds the k-th superdiagonal of B0 = mu G, padded at the front
     for k in range(grid_n + 1):
-        assert np.array_equal(ab[grid_n - k, k:], G.diagonal(k))
+        assert np.array_equal(ab[grid_n - k, k:], sys.mu * sys.G.diagonal(k))
         assert not ab[grid_n - k, :k].any()
+
+
+@functools.lru_cache(maxsize=None)
+def _system(grid_n, s):
+    return assemble_affine_system(grid_n, s, 0.1)
+
+
+def _csr_sum_solve(sys, y):
+    """The banded solve with B_y formed as the CSR sum B0 + y_1 Bs[0] + ...,
+    its upper triangle scattered into LAPACK band storage."""
+    B = sys.B0
+    for yi, Bi in zip(y, sys.Bs):
+        B = B + yi * Bi
+    U = sp.triu(B.tocsr(), format="coo")
+    bw = int((U.col - U.row).max(initial=0))
+    ab = np.zeros((bw + 1, sys.D))
+    ab[bw + U.row - U.col, U.col] = U.data
+    return sla.solveh_banded(ab, sys.f, check_finite=False)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.data())
+def test_solve_is_byte_identical_to_the_csr_sum(data):
+    grid_n, s = data.draw(st.integers(3, 33)), data.draw(st.integers(1, 3))
+    sys = _system(grid_n, s)
+    entry = st.one_of(st.just(0.0), st.just(1.0), st.floats(-sys.mu / 2, 1.0))
+    y = np.array(data.draw(st.lists(entry, min_size=sys.p, max_size=sys.p)))
+    assert solve_high_fidelity(sys, y).tobytes() == _csr_sum_solve(sys, y).tobytes()
 
 
 @pytest.mark.parametrize("grid_n", [33, 57])
@@ -222,6 +274,16 @@ def test_solve_rejects_asymmetric_operator(sys9):
     sys = dataclasses.replace(sys9, B0=(sys9.B0 + kink).tocsr())
     with pytest.raises(InvalidArgument):
         solve_high_fidelity(sys, np.full(4, 0.5))
+
+
+def test_asymmetric_piece_raises_where_its_parameter_is_zero(sys9):
+    y = np.array([0.0, 0.5, 0.5, 0.5])
+    solve_high_fidelity(sys9, y)
+    # the replaced system plans its own band; y_1 = 0 does not hide the kink
+    kink = sp.csr_matrix(([1e-3], ([0], [1])), shape=(sys9.D, sys9.D))
+    sys = dataclasses.replace(sys9, Bs=((sys9.Bs[0] + kink).tocsr(), *sys9.Bs[1:]))
+    with pytest.raises(InvalidArgument):
+        solve_high_fidelity(sys, y)
 
 
 def test_solve_rejects_operator_not_positive_definite(sys9):
@@ -605,6 +667,31 @@ def test_evaluate_error_g_norms_match_cholesky_oracle(sys9, rb9):
     np.testing.assert_allclose(rep_rel.err_rel_g, want_rel, rtol=1e-12, atol=0)
 
 
+def test_g_norms_match_the_column_loop_byte_for_byte(sys9, rb9):
+    params = np.random.default_rng(133).uniform(0, 1, (64, 4))
+    lifted = rb9.V @ np.column_stack([reduced_solve(rb9, y) for y in params])
+    noise = np.random.default_rng(134).normal(0.0, 1e-3, lifted.shape)
+    for E in (lifted, noise, lifted[:, :1]):
+        want = np.array([_g_norm(sys9.G, e) for e in E.T])
+        assert _g_norms(sys9.G, E).tobytes() == want.tobytes()
+
+
+def test_parameter_sets_reject_non_real(sys9, rb9):
+    bad = np.full((2, 4), 0.5 + 1j)
+    with pytest.raises(InvalidArgument):
+        build_reduced_basis(sys9, bad)
+    rb_net, _ = solution_network(rb9, 0.5, 1.01 * np.linalg.norm(rb9.f_rb))
+    with pytest.raises(InvalidArgument):
+        evaluate_error(rb9, rb_net, bad, sys9.G, "euclidean-rb", outputs=np.zeros((rb9.d, 2)))
+
+
+def test_evaluate_error_rejects_empty_test_set(sys9, rb9):
+    rb_net, h_net = solution_network(rb9, 0.5, 1.01 * np.linalg.norm(rb9.f_rb))
+    for net, mode in ((rb_net, "euclidean-rb"), (h_net, "g-norm-h"), (h_net, "relative-g")):
+        with pytest.raises(InvalidArgument):
+            evaluate_error(rb9, net, np.zeros((0, 4)), sys9.G, mode)
+
+
 def _not_positive_definite(G, kind):
     D = G.shape[0]
     if kind == "negated":
@@ -668,6 +755,13 @@ def test_write_error_csv_layout(tmp_path):
 def test_write_error_csv_rejects_ragged():
     with pytest.raises(DimensionMismatch):
         write_error_csv("/tmp/never.csv", np.zeros((2, 1)), [0.1], [0.1, 0.2], [0.3, 0.4])
+
+
+def test_write_error_csv_rejects_empty(tmp_path):
+    path = tmp_path / "errors.csv"
+    with pytest.raises(InvalidArgument):
+        write_error_csv(path, np.zeros((0, 2)), [], [], [])
+    assert not path.exists()
 
 
 def test_save_load_reduced_round_trip(tmp_path):
