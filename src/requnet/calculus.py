@@ -109,16 +109,19 @@ def extend(phi, L):
 
 def _sparse_chain(stages):
     """sparse_concat(stages[-1], ... sparse_concat(stages[1], stages[0])) for
-    stages of depth >= 2, with each join's two layers computed once per
-    distinct stage: a repeated stage repeats the same layer objects."""
-    J, K = {}, {}
+    stages of depth >= 2, with one extension per distinct inner stage and one
+    fused join per distinct outer stage: a repeated stage repeats the same
+    layer objects.  The fused join depends on its inner stage only through
+    the extension's last layer, which is fixed by the output width."""
+    extended, fused = {}, {}
     layers = stages[0]._layers[:-1]
     for inner, outer in zip(stages, stages[1:]):
-        if id(inner) not in J or id(outer) not in K:
-            joined = sparse_concat(outer, inner)._layers[inner.depth - 1 : inner.depth + 1]
-            J.setdefault(id(inner), joined[0])
-            K.setdefault(id(outer), joined[1])
-        layers += (J[id(inner)], K[id(outer)]) + outer._layers[1:-1]
+        if id(inner) not in extended:
+            extended[id(inner)] = extend(inner, inner.depth + 1)
+        ext = extended[id(inner)]
+        if id(outer) not in fused:
+            fused[id(outer)] = concat(outer, ext)._layers[inner.depth]
+        layers += (ext._layers[inner.depth - 1], fused[id(outer)]) + outer._layers[1:-1]
     return Network._trusted(layers + stages[-1]._layers[-1:])
 
 

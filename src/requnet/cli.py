@@ -386,13 +386,14 @@ def cmd_invert(args):
 
 
 def cmd_complexity(args):
-    rows = []
+    rows, nnz = [], {}  # the network depends on eps and delta only through l
     for d in args.dims:
         for eps in args.eps:
             plan = neumann_length(eps, args.delta)
-            rep = complexity(inversion_network(d, eps, args.delta))
+            if (d, plan.l) not in nnz:
+                nnz[d, plan.l] = complexity(inversion_network(d, eps, args.delta)).total_nnz
             bound = _inversion_nnz_bound(d, plan.l)
-            rows.append([d, eps, plan.l, 2 * plan.l + 1, rep.total_nnz, int(bound)])
+            rows.append([d, eps, plan.l, 2 * plan.l + 1, nnz[d, plan.l], int(bound)])
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write("d,eps,l,depth,nnz,bound\n")
         for row in rows:

@@ -195,7 +195,8 @@ def inversion_network(d, epsilon, delta):
     stages joined by sparse_concat: the first maps vec A to (A + I, A^2),
     each middle stage runs mult_network on (P_k, Q_k + I) beside
     square_network on Q_k, and the last multiplies P_{l-1} (Q_{l-1} + I).
-    The middle stage and its joins are built once.  Nonzeros, exactly
+    Each call builds one product, one squaring and one duplicator network,
+    shared by all stages, and each join layer once.  Nonzeros, exactly
     (_inversion_nnz_exact): (96l - 120)d^3 + (12l + 20)d^2 + (40 - 24l)d
     for l >= 2, and 32d^2 - 2d for l = 1.
     """
@@ -206,14 +207,11 @@ def inversion_network(d, epsilon, delta):
         # the single factor A + I is one affine layer; pad so the depth
         # formula 2l + 1 holds uniformly
         return extend(_shift_by_identity(d), 3)
-    first = concat(
-        parallelize([_shift_by_identity(d), square_network(d)]), _duplicator(d * d)
-    )
-    stage = concat(
-        parallelize([mult_network(d, d, d), square_network(d)]),
-        _split(d, keep_q=True),
-    )
-    last = concat(mult_network(d, d, d), _split(d, keep_q=False))
+    mult, duplicate = mult_network(d, d, d), _duplicator(d * d)
+    square = concat(mult, duplicate)  # square_network(d) from the shared parts
+    first = concat(parallelize([_shift_by_identity(d), square]), duplicate)
+    stage = concat(parallelize([mult, square]), _split(d, keep_q=True))
+    last = concat(mult, _split(d, keep_q=False))
     net = _sparse_chain([first] + [stage] * (l - 2) + [last])
     # l depth-2 stages give depth 2l; pad to 2l + 1 as in the l = 1 case
     return extend(net, 2 * l + 1)

@@ -413,21 +413,32 @@ def build_reduced_basis(sys, snapshot_params, drop_tol=1e-8):
     )
 
 
-def _reduced_operator(rb, y):
-    y = _parameter(y, rb.p)
-    th = rb.theta[0].copy()
-    for yi, ti in zip(y, rb.theta[1:]):
-        th += yi * ti
-    return th
+_SOLVE_CHUNK = 64  # operators per stacked solve, so its memory is O(64 d^2) at any n
+
+
+def _reduced_solves(rb, Y):
+    """Direct solves of the d x d reduced systems at the rows of Y (n x p),
+    stacked _SOLVE_CHUNK at a time: each operator theta[0] + y_1 theta[1]
+    + ... is formed with the additions in the order of that sum."""
+    if not np.isfinite(Y).all():
+        raise InvalidArgument("parameter has non-finite entries")
+    out = np.empty((len(Y), rb.d))
+    f = rb.f_rb[None, :, None]  # as many dimensions as the stack: numpy 1.x and 2.x agree
+    for s in range(0, len(Y), _SOLVE_CHUNK):
+        rows = Y[s : s + _SOLVE_CHUNK]
+        th = np.repeat(rb.theta[0][None], len(rows), axis=0)
+        for yi, ti in zip(rows.T, rb.theta[1:]):
+            th += yi[:, None, None] * ti
+        try:
+            out[s : s + len(rows)] = np.linalg.solve(th, f)[..., 0]
+        except np.linalg.LinAlgError as exc:
+            raise SingularSystem(f"reduced operator is singular: {exc}") from exc
+    return out
 
 
 def reduced_solve(rb, y):
     """Direct solve of the d x d reduced system at one parameter."""
-    th = _reduced_operator(rb, y)
-    try:
-        return np.linalg.solve(th, rb.f_rb)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(f"reduced operator is singular: {exc}") from exc
+    return _reduced_solves(rb, _parameter(y, rb.p)[None])[0]
 
 
 def b_network(rb):
@@ -583,11 +594,11 @@ def evaluate_error(rb, net, test_params, G, mode, target_eps=None, outputs=None)
 
 def _error_columns(rb, params, G, out_rb, out_h):
     """The error columns (err_euclid_rb, err_g_h, err_rel_g) against the
-    reduced solutions u_rb, solved once per parameter: the Euclidean one of
+    reduced solutions u_rb, solved in stacks: the Euclidean one of
     reduced outputs out_rb, and after one check of G the absolute and
     relative G-norm ones of high-fidelity outputs out_h (one column per
     parameter each).  A column whose outputs are not given is None."""
-    u_rb = np.column_stack([reduced_solve(rb, y) for y in params])
+    u_rb = np.ascontiguousarray(_reduced_solves(rb, params).T)
     err_euclid = err_g = err_rel = None
     if out_rb is not None:
         err_euclid = np.linalg.norm(u_rb - out_rb, axis=0)

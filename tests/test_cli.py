@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from requnet import load_network, realize, inversion_network, vec
+from requnet import cli, complexity, load_network, realize, inversion_network, vec
 from requnet.cli import main
 
 CLI = [sys.executable, "-m", "requnet.cli"]
@@ -184,6 +184,23 @@ def test_complexity_bound_is_exact_at_l1(tmp_path):
     for r in rows:
         d = int(r["d"])
         assert int(r["nnz"]) == int(r["bound"]) == 32 * d * d - 2 * d
+
+
+def test_complexity_builds_one_network_per_dimension_and_length(tmp_path, monkeypatch):
+    """The README table: l = 5, 6, 6 for the three eps, so 6 builds, not 9."""
+    built = []
+    real = cli.inversion_network
+    monkeypatch.setattr(cli, "inversion_network", lambda *a: built.append(a) or real(*a))
+    out = tmp_path / "table.csv"
+    argv = ["complexity", "--dims", "4,8,16", "--eps", "1e-2,1e-3,1e-4", "--delta", "0.2"]
+    assert main(argv + ["--out", str(out)]) == 0
+    assert [(d, eps) for d, eps, _ in built] == [(d, eps) for d in (4, 8, 16) for eps in (1e-2, 1e-3)]
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [int(r["l"]) for r in rows] == [5, 6, 6] * 3
+    for r in rows:  # a shared count equals the one the row's own eps builds
+        net = real(int(r["d"]), float(r["eps"]), 0.2)
+        assert int(r["nnz"]) == complexity(net).total_nnz
 
 
 @pytest.mark.parametrize("command", [["invert", "--dim", "2"], ["complexity", "--dims", "2"]])

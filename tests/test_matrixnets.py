@@ -32,6 +32,7 @@ from requnet import (
     square_network,
     vec,
 )
+from requnet import calculus, matrixnets
 from requnet.matrixnets import _inversion_nnz_exact
 
 rng = np.random.default_rng(4101)
@@ -545,3 +546,51 @@ def test_inversion_repeats_join_layers_as_one_object():
 def test_power_repeats_join_layers_as_one_object():
     net = power_network(2, 4)
     assert net._layers[3] is net._layers[5] and net._layers[2] is net._layers[4] is net._layers[6]
+
+
+# ---------------------------------------------------------------------------
+# each part and each join layer is built once per call
+# ---------------------------------------------------------------------------
+
+
+def _chain_calls(monkeypatch, build, *args):
+    """The stages build(*args) joins with _sparse_chain, and the extend and
+    concat calls that joining them again makes, as (name, id of the stage)."""
+    chains = []
+    chain = calculus._sparse_chain
+    monkeypatch.setattr(matrixnets, "_sparse_chain", lambda stages: chains.append(stages) or chain(stages))
+    build(*args)
+    (stages,) = chains
+    calls = []
+    for name in ("extend", "concat"):
+        real = getattr(calculus, name)
+        spy = lambda phi, other, real=real, name=name: calls.append((name, id(phi))) or real(phi, other)
+        monkeypatch.setattr(calculus, name, spy)
+    chain(stages)
+    return stages, calls
+
+
+def _assert_joined_once(stages, calls):
+    """One extension per distinct inner stage, one fused join per distinct outer."""
+    for name, joined in (("extend", stages[:-1]), ("concat", stages[1:])):
+        assert sorted(i for n, i in calls if n == name) == sorted({id(s) for s in joined})
+
+
+@pytest.mark.parametrize("eps,delta,l", [(1e-2, 0.9, 2), (0.1, 0.5, 3), (1e-6, 0.2, 7)])
+def test_inversion_builds_each_part_once(monkeypatch, eps, delta, l):
+    assert neumann_length(eps, delta).l == l
+    built = []
+    for name in ("mult_network", "_duplicator"):
+        real = getattr(matrixnets, name)
+        monkeypatch.setattr(matrixnets, name, lambda *a, real=real, name=name: built.append(name) or real(*a))
+    stages, calls = _chain_calls(monkeypatch, inversion_network, 3, eps, delta)
+    assert sorted(built) == ["_duplicator", "mult_network"]
+    assert len(stages) == l and len({id(s) for s in stages}) == min(l, 3)
+    _assert_joined_once(stages, calls)
+
+
+@pytest.mark.parametrize("j", [1, 2, 4])
+def test_power_joins_its_stage_once(monkeypatch, j):
+    stages, calls = _chain_calls(monkeypatch, power_network, 2, j)
+    assert len(stages) == j and len({id(s) for s in stages}) == 1
+    _assert_joined_once(stages, calls)

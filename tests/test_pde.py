@@ -626,13 +626,44 @@ def test_error_columns_match_the_modes_with_one_check_and_solve(sys9, rb9, monke
         evaluate_error(rb9, h_net, params, sys9.G, "g-norm-h", outputs=out_h).err_g_h,
         evaluate_error(rb9, h_net, params, sys9.G, "relative-g", outputs=out_h).err_rel_g,
     )
-    calls = []
-    for name in ("_check_gram", "reduced_solve"):
+    each = [reduced_solve(rb9, y).tobytes() for y in params]
+    calls = []  # (name, result) of each call
+    for name in ("_check_gram", "reduced_solve", "_reduced_solves"):
         real = getattr(pde, name)
-        monkeypatch.setattr(pde, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
+        spy = lambda *a, real=real, name=name: calls.append((name, real(*a))) or calls[-1][1]
+        monkeypatch.setattr(pde, name, spy)
     got = _error_columns(rb9, params, sys9.G, out_rb, out_h)
-    assert calls.count("_check_gram") == 1 and calls.count("reduced_solve") == len(params)
+    assert [name for name, _ in calls] == ["_reduced_solves", "_check_gram"]
+    # one stacked solve, each row the bytes of that parameter's reduced_solve
+    assert [u.tobytes() for u in calls[0][1]] == each
     assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
+
+def test_stacked_reduced_solve_runs_in_chunks_with_a_stacked_right_hand_side(rb9, monkeypatch):
+    C = pde._SOLVE_CHUNK
+    params = np.random.default_rng(9).uniform(0, 1, (2 * C + 22, rb9.p))
+    each = [reduced_solve(rb9, y).tobytes() for y in params]
+    shapes = []  # (a.shape, b.shape) of each LAPACK call
+    real = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: shapes.append((a.shape, b.shape)) or real(a, b))
+    got = pde._reduced_solves(rb9, params)
+    assert [a for a, _ in shapes] == [(n, rb9.d, rb9.d) for n in (C, C, 22)]
+    # b has as many dimensions as a, which numpy 1.x and 2.x both read as a stack of columns
+    assert all(b == (1, rb9.d, 1) for _, b in shapes)
+    assert [u.tobytes() for u in got] == each
+
+
+def test_stacked_reduced_solve_raises_on_one_singular_operator(rb9):
+    # theta[0] + 1 * (-theta[0]) is exactly zero at the second parameter only
+    rb = dataclasses.replace(rb9, theta=(rb9.theta[0], -rb9.theta[0], *rb9.theta[2:]))
+    params = np.array([[0.5, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]])
+    reduced_solve(rb, params[0])
+    for solve in (lambda: reduced_solve(rb, params[1]), lambda: pde._reduced_solves(rb, params)):
+        with pytest.raises(SingularSystem):
+            solve()
+    rb_net, _ = solution_network(rb9, 0.5, 1.01 * np.linalg.norm(rb9.f_rb))
+    with pytest.raises(SingularSystem):
+        evaluate_error(rb, rb_net, params, None, "euclidean-rb", outputs=np.zeros((rb.d, 2)))
 
 
 def test_evaluate_error_validation(sys9, rb9):
