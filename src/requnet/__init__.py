@@ -73,6 +73,7 @@ from .pde import (
     load_reduced_network,
     reduced_solve,
     save_reduced_network,
+    solution_errors,
     solution_network,
     solve_high_fidelity,
     write_error_csv,

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 import numpy as np
@@ -42,12 +43,11 @@ from .matrixnets import (
     square_network,
     vec,
 )
-from .network import _evaluate, complexity, make_network, realize, save_network
+from .network import complexity, make_network, realize, save_network
 from .pde import (
-    _EVAL_CHUNK,
-    _error_columns,
     assemble_affine_system,
     build_reduced_basis,
+    solution_errors,
     solution_network,
     write_error_csv,
 )
@@ -350,19 +350,20 @@ def cmd_verify(args):
 
 def cmd_invert(args):
     plan = neumann_length(args.eps, args.delta)
-    net = inversion_network(args.dim, args.eps, args.delta)
-    rep = complexity(net)
     if args.matrix is not None:
         with open(args.matrix, "r", encoding="utf-8") as fh:
-            A = np.asarray(json.load(fh), dtype=np.float64)
-        if A.shape != (args.dim, args.dim):
-            raise InvalidArgument(
-                f"matrix file has shape {A.shape}, expected ({args.dim}, {args.dim})"
+            A = np.asarray(json.load(fh))
+        if A.dtype.kind not in "biuf" or A.shape != (args.dim,) * 2 or not np.isfinite(A).all():
+            raise InvalidArgument(  # text or null entries fail the dtype rule of pde._real
+                f"matrix file must be {args.dim} x {args.dim} finite real numbers, "
+                f"got shape {A.shape}, dtype {A.dtype}"
             )
     else:
         A = _contraction_sample(
             np.random.default_rng(_INVERT_SEED), args.dim, args.delta
         )
+    net = inversion_network(args.dim, args.eps, args.delta)
+    rep = complexity(net)
     got = matr(realize(net, vec(A)), args.dim, args.dim)
     target = np.linalg.inv(np.eye(args.dim) - A)
     measured = float(np.linalg.norm(target - got, 2))
@@ -414,12 +415,9 @@ def cmd_pde(args):
     rb_net, h_net = solution_network(rb, args.eps, C_f)
 
     test = rng.random((args.test, system.p))
-    shared = _evaluate(rb_net._layers[:-1], test.T, _EVAL_CHUNK)  # the prefix's activations
-    outs_rb = _evaluate(rb_net._layers[-1:], shared)
-    outs_h = _evaluate(h_net._layers[-2:], shared)
-    err_euclid, err_g, err_rel = _error_columns(rb, test, system.G, outs_rb, outs_h)
+    _, _, (err_euclid, err_g, err_rel) = solution_errors(rb, rb_net, h_net, test, system.G)
 
-    csv_path = (args.out.rsplit(".", 1)[0] if "." in args.out else args.out) + ".csv"
+    csv_path = os.path.splitext(args.out)[0] + ".csv"
     write_error_csv(csv_path, test, err_euclid, err_g, err_rel)
     summary = {
         "D": system.D,

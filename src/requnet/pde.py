@@ -38,7 +38,7 @@ from .errors import (
     SingularSystem,
 )
 from .matrixnets import inversion_network, vec
-from .network import _is_size, _network_doc, _network_from_doc, _read_doc, realize_batch
+from .network import _evaluate, _is_size, _network_doc, _network_from_doc, _read_doc, realize_batch
 
 __all__ = [
     "AffineSystem",
@@ -54,6 +54,7 @@ __all__ = [
     "inv_b_network",
     "solution_network",
     "evaluate_error",
+    "solution_errors",
     "write_error_csv",
     "save_reduced_network",
     "load_reduced_network",
@@ -115,26 +116,35 @@ class ReducedBasis:
 
     theta[0] = V^T B0 V and theta[i] = V^T Bs[i-1] V, so the reduced
     operator at parameter y is theta[0] + sum_i y_i theta[i].  alpha and
-    beta are the coefficient sup/inf, lam = 1/(alpha+beta) the scaling
-    that makes I - lam*B a contraction, delta = lam*beta its margin.
-    truncation_sup is the largest G-norm projection residual among the
-    snapshots dropped during orthonormalization (None when the basis was
-    loaded from a document that does not record it).
+    beta are the coefficient sup/inf; the properties lam = 1/(alpha+beta),
+    the scaling that makes I - lam*B a contraction, delta = lam*beta, its
+    margin, and d are derived.  truncation_sup is the largest G-norm
+    projection residual among the snapshots dropped in orthonormalization
+    (None when the basis was loaded from a document that does not record it).
     """
 
     V: np.ndarray
-    d: int
     theta: tuple
     f_rb: np.ndarray
     alpha: float
     beta: float
-    lam: float
-    delta: float
     truncation_sup: float | None = 0.0
 
     @property
     def p(self):
         return len(self.theta) - 1
+
+    @property
+    def d(self):
+        return self.V.shape[1]
+
+    @property
+    def lam(self):
+        return 1.0 / (self.alpha + self.beta)
+
+    @property
+    def delta(self):
+        return self.lam * self.beta
 
 
 @dataclass(frozen=True)
@@ -307,6 +317,20 @@ def _parameter(y, p):
     return y
 
 
+def _parameters(Y, p, what, empty):
+    """A set of parameters: a real (n, p) matrix with n >= 1, where a vector
+    reads as n rows if p == 1.  No entries at all raise `empty`, another
+    shape DimensionMismatch."""
+    Y = _real(Y, f"{what} parameters")
+    if Y.ndim == 1 and p == 1:
+        Y = Y.reshape(-1, 1)
+    if Y.size == 0:
+        raise empty(f"need at least one {what} parameter")
+    if Y.ndim != 2 or Y.shape[1] != p:
+        raise DimensionMismatch(f"{what} parameters have shape {Y.shape}, expected (*, {p})")
+    return Y
+
+
 def solve_high_fidelity(sys, y):
     """Banded Cholesky solve of B_y u = f at one parameter.
 
@@ -358,15 +382,7 @@ def build_reduced_basis(sys, snapshot_params, drop_tol=1e-8):
     snapshots are numerically dependent) and dropped when its residual
     G-norm falls below drop_tol times the largest snapshot G-norm.
     """
-    params = _real(snapshot_params, "snapshot parameters")
-    if params.ndim == 1 and sys.p == 1:
-        params = params.reshape(-1, 1)
-    if params.size == 0:
-        raise EmptySnapshotSet("need at least one snapshot parameter")
-    if params.ndim != 2 or params.shape[1] != sys.p:
-        raise DimensionMismatch(
-            f"snapshot parameters have shape {params.shape}, expected (*, {sys.p})"
-        )
+    params = _parameters(snapshot_params, sys.p, "snapshot", EmptySnapshotSet)
     if not (np.isfinite(drop_tol) and drop_tol >= 0):
         raise InvalidArgument(f"drop_tol must be a nonnegative real, got {drop_tol}")
 
@@ -395,20 +411,13 @@ def build_reduced_basis(sys, snapshot_params, drop_tol=1e-8):
             "every snapshot fell below drop_tol; no basis vector survives"
         )
     V = np.array(basis).T
-    d = V.shape[1]
-    alpha = sys.mu + 1.0
-    beta = sys.mu
-    lam = 1.0 / (alpha + beta)
     theta = (V.T @ (sys.B0 @ V),) + tuple(V.T @ (Bi @ V) for Bi in sys.Bs)
     return ReducedBasis(
         V=V,
-        d=d,
         theta=theta,
         f_rb=V.T @ sys.f,
-        alpha=alpha,
-        beta=beta,
-        lam=lam,
-        delta=lam * beta,
+        alpha=sys.mu + 1.0,
+        beta=sys.mu,
         truncation_sup=truncation_sup,
     )
 
@@ -492,7 +501,7 @@ def solution_network(rb, epsilon, C_f):
     the lifted output within epsilon in the G-norm by G-orthonormality of V.
 
     h_net._layers[:-2] are the very stored layers of rb_net._layers[:-1],
-    so one evaluation of that shared prefix serves both networks.
+    so solution_errors evaluates that shared prefix once for both.
     """
     if not (np.isfinite(epsilon) and 0.0 < epsilon < 1.0):
         raise InvalidArgument(f"epsilon must lie in (0, 1), got {epsilon}")
@@ -550,15 +559,7 @@ def evaluate_error(rb, net, test_params, G, mode, target_eps=None, outputs=None)
     """
     if mode not in _MODES:
         raise InvalidArgument(f"mode must be one of {_MODES}, got {mode!r}")
-    params = _real(test_params, "test parameters")
-    if params.ndim == 1 and rb.p == 1:
-        params = params.reshape(-1, 1)
-    if params.ndim != 2 or params.shape[1] != rb.p:
-        raise DimensionMismatch(
-            f"test parameters have shape {params.shape}, expected (*, {rb.p})"
-        )
-    if params.shape[0] == 0:
-        raise InvalidArgument("need at least one test parameter")
+    params = _parameters(test_params, rb.p, "test", InvalidArgument)
     if net.input_dim != rb.p:
         raise DimensionMismatch(
             f"network consumes {net.input_dim} inputs, parameters have {rb.p}"
@@ -590,6 +591,24 @@ def evaluate_error(rb, net, test_params, G, mode, target_eps=None, outputs=None)
         target_eps=None if target_eps is None else float(target_eps),
         rb_truncation=rb.truncation_sup,
     )
+
+
+def solution_errors(rb, rb_net, h_net, test_params, G):
+    """Both outputs of a solution_network pair at the test parameters (n x p)
+    and their errors, (out_rb, out_h, (err_euclid_rb, err_g_h, err_rel_g)),
+    each column bit for bit that of evaluate_error's mode.  h_net's stored
+    layers but its last two must be rb_net's but its last, as solution_network
+    builds them (else InvalidArgument): that prefix is evaluated once, then
+    each head, and the reduced systems are solved and G checked once."""
+    params = _parameters(test_params, rb.p, "test", InvalidArgument)
+    shared, prefix = rb_net._layers[:-1], h_net._layers[:-2]
+    same = len(prefix) == len(shared) and all(a is b for a, b in zip(prefix, shared))
+    widths = (rb_net.input_dim, rb_net.output_dim, h_net.output_dim)
+    if not same or widths != (rb.p, rb.d, rb.V.shape[0]):
+        raise InvalidArgument("rb_net and h_net are not a solution_network pair of this basis")
+    X = _evaluate(shared, params.T, _EVAL_CHUNK)
+    out_rb, out_h = _evaluate(rb_net._layers[-1:], X), _evaluate(h_net._layers[-2:], X)
+    return out_rb, out_h, _error_columns(rb, params, G, out_rb, out_h)
 
 
 def _error_columns(rb, params, G, out_rb, out_h):
@@ -660,23 +679,17 @@ def load_reduced_network(path):
     try:
         payload = doc["reduced_basis"]
         V = np.asarray(payload["V"], dtype=np.float64)
-        alpha = float(payload["alpha"])
-        beta = float(payload["beta"])
-        lam = 1.0 / (alpha + beta)
         # Documents written before truncation_sup was stored load with None.
         truncation_sup = payload.get("truncation_sup")
         rb = ReducedBasis(
             V=V,
-            d=V.shape[1],
             theta=tuple(np.asarray(t, dtype=np.float64) for t in payload["theta"]),
             f_rb=np.asarray(payload["f_rb"], dtype=np.float64),
-            alpha=alpha,
-            beta=beta,
-            lam=lam,
-            delta=lam * beta,
+            alpha=float(payload["alpha"]),
+            beta=float(payload["beta"]),
             truncation_sup=None if truncation_sup is None else float(truncation_sup),
         )
-    except (IndexError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise InvalidArgument(f"malformed reduced-basis document: {exc!r}") from exc
     _check_reduced_payload(net, rb)
     return net, rb
@@ -684,8 +697,8 @@ def load_reduced_network(path):
 
 def _check_reduced_payload(net, rb):
     """Raise InvalidArgument unless V is D x d, theta holds p + 1 >= 2
-    d x d matrices, f_rb has length d, net maps p inputs to d or D, and V,
-    theta, f_rb, alpha, beta and truncation_sup (unless None) are finite."""
+    d x d matrices, f_rb has length d, net maps p inputs to d or D, V, theta,
+    f_rb, alpha, beta and truncation_sup (unless None) are finite, and alpha + beta != 0."""
     shapes = {t.shape for t in rb.theta}
     ok = rb.V.ndim == 2 and shapes == {(rb.d, rb.d)} and rb.f_rb.shape == (rb.d,)
     if not (ok and net.input_dim == rb.p and net.output_dim in (rb.d, rb.V.shape[0])):
@@ -696,3 +709,5 @@ def _check_reduced_payload(net, rb):
     sup = 0.0 if rb.truncation_sup is None else rb.truncation_sup
     if not all(np.isfinite(a).all() for a in (rb.V, *rb.theta, rb.f_rb, rb.alpha, rb.beta, sup)):
         raise InvalidArgument("reduced-basis payload has non-finite entries")
+    if rb.alpha + rb.beta == 0:
+        raise InvalidArgument("reduced-basis payload has alpha + beta == 0")

@@ -1,6 +1,7 @@
 """Command-line interface: verify/invert/complexity/pde subcommands, their
 output files, exit codes, and byte-level determinism."""
 
+import ast
 import csv
 import json
 import subprocess
@@ -132,6 +133,27 @@ def test_invert_rejects_non_square_matrix(tmp_path):
         "--matrix", str(mat), "--out", str(tmp_path / "o.json"),
     )
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        [["0.1", "0"], ["0", "0.5"]],
+        [[0.1, None], [0.0, 0.5]],
+        [[0.1, "0"], [0.0, 0.5]],
+        [[float("nan"), 0.0], [0.0, 0.5]],
+    ],
+    ids=["text", "null", "mixed", "nan"],
+)
+def test_invert_checks_the_matrix_file_before_building(tmp_path, monkeypatch, capsys, matrix):
+    # a float64 cast would parse json text as numbers; each file must exit 2, unbuilt
+    mat = tmp_path / "matrix.json"
+    mat.write_text(json.dumps(matrix))
+    monkeypatch.setattr(cli, "inversion_network", lambda *a: pytest.fail("network was built"))
+    argv = ["invert", "--dim", "2", "--eps", "1e-2", "--delta", "0.5", "--matrix", str(mat)]
+    assert main(argv + ["--out", str(tmp_path / "o.json")]) == 2
+    assert "real numbers" in capsys.readouterr().err
+    assert not (tmp_path / "o.json").exists()
 
 
 def test_invert_save_round_trip(tmp_path):
@@ -284,6 +306,22 @@ def test_pde_rejects_bad_eps(tmp_path):
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize(
+    "out, csv_name",
+    [
+        ("pde.json", "pde.csv"),
+        ("./summary", "summary.csv"),  # not ".csv"
+        ("runs.v2/summary", "runs.v2/summary.csv"),  # not "runs.csv"
+    ],
+)
+def test_pde_csv_replaces_only_the_file_extension(tmp_path, monkeypatch, out, csv_name):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "runs.v2").mkdir()
+    assert main(PDE_SMALL + ["--out", out]) == 0
+    written = sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*") if p.is_file())
+    assert written == sorted([str(tmp_path.joinpath(out).relative_to(tmp_path)), csv_name])
+
+
 # ------------------------------------------------------------- determinism
 
 
@@ -318,3 +356,18 @@ def test_main_callable_in_process(tmp_path):
     out = tmp_path / "r.json"
     assert main(["verify", "--suite", "calculus", "--seed", "7", "--quick", "--out", str(out)]) == 0
     assert json.loads(out.read_text())["suite"] == "calculus"
+
+
+def test_cli_imports_no_private_name_of_pde_or_network():
+    """The command goes through the public API of pde and network, so the
+    layout of a solution_network pair is known in pde.py alone."""
+    tree = ast.parse(open(cli.__file__, encoding="utf-8").read())
+    private = [
+        (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module in ("pde", "network")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert {"pde", "network"} <= imported and private == []

@@ -675,6 +675,7 @@ def _paired_layers(n=3, h=3, m=2):
 
 
 def _near_miss(kind):
+    """The layers of _paired_layers, exact or broken as `kind` says."""
     layers = _paired_layers()
     (A1, b1), (A2, _) = layers
     if kind == "odd row off by one ulp":
@@ -697,30 +698,26 @@ def _near_miss(kind):
         A2.data[2], A2.data[3] = 0.0, -0.0  # a stored pair at columns 2, 3 of row 0
         layers[1][0] = A2
     elif kind == "dense":
-        return make_network([(rng.standard_normal((6, 3)), rng.standard_normal(6)),
-                             (rng.standard_normal((2, 6)), rng.standard_normal(2))])
-    return make_network(layers)
-
-
-def test_paired_layers_are_stored_as_given():
-    layers = _paired_layers()
-    net = make_network(layers)
-    assert _tags(net) == ("requ", None)
-    for (A, b, _), (A_in, b_in) in zip(net._layers, layers):
-        assert np.array_equal(A.toarray(), A_in) and b.tobytes() == b_in.tobytes()
-    X = 3.0 * rng.standard_normal((net.input_dim, 32))
-    assert realize_batch(net, X).tobytes() == _layer_loop(net, X).tobytes()
+        return [(rng.standard_normal((6, 3)), rng.standard_normal(6)),
+                (rng.standard_normal((2, 6)), rng.standard_normal(2))]
+    return layers
 
 
 @pytest.mark.parametrize(
     "kind",
-    ["odd row off by one ulp", "bias not negated", "odd hidden width", "unequal column pair",
-     "column pair split across rows", "signed-zero bias pair", "signed-zero column pair",
-     "dense"],
+    ["exact pairs", "odd row off by one ulp", "bias not negated", "odd hidden width",
+     "unequal column pair", "column pair split across rows", "signed-zero bias pair",
+     "signed-zero column pair", "dense"],
 )
 def test_near_miss_pairing_does_not_fold(kind):
-    net = _near_miss(kind)
+    """make_network stores hand-built layers as given, every hidden one
+    "requ", whether they hold exact (z, -z) pairs or near misses of them."""
+    layers = _near_miss(kind)
+    net = make_network(layers)
     assert _tags(net) == ("requ", None)
+    for (A, b, _), (A_in, b_in) in zip(net._layers, layers):
+        assert np.array_equal(A.toarray(), sp.csr_matrix(A_in).toarray())
+        assert b.tobytes() == b_in.tobytes()
     X = 3.0 * rng.standard_normal((net.input_dim, 32))
     want = _layer_loop(net, X)
     for chunk in (None, 16):
@@ -857,7 +854,7 @@ def test_loaded_network_flags_match_the_calculus(fold_nets, tmp_path, name):
 @pytest.mark.parametrize("kind", ["signed-zero bias pair", "signed-zero column pair"])
 def test_signed_zero_pairs_survive_load_and_save(tmp_path, kind):
     # folded, such a pair would come back from the view as (+0.0, +0.0)
-    save_network(tmp_path / "net.json", _near_miss(kind))
+    save_network(tmp_path / "net.json", make_network(_near_miss(kind)))
     save_network(tmp_path / "again.json", load_network(tmp_path / "net.json"))
     assert (tmp_path / "again.json").read_bytes() == (tmp_path / "net.json").read_bytes()
 

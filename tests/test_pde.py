@@ -38,13 +38,14 @@ from requnet import (
     reduced_solve,
     requ,
     save_reduced_network,
+    solution_errors,
     solution_network,
     solve_high_fidelity,
     vec,
     write_error_csv,
 )
 from requnet import pde
-from requnet.pde import _error_columns, _g_norm, _g_norms
+from requnet.pde import _g_norm, _g_norms
 
 
 @pytest.fixture(scope="module")
@@ -619,7 +620,7 @@ def test_evaluate_error_modes_agree_on_shared_outputs(sys9, rb9):
 
 def test_error_columns_match_the_modes_with_one_check_and_solve(sys9, rb9, monkeypatch):
     rb_net, h_net = solution_network(rb9, 1e-3, 1.01 * np.linalg.norm(rb9.f_rb))
-    params = np.random.default_rng(8).uniform(0, 1, (5, rb9.p))
+    params = np.random.default_rng(8).uniform(0, 1, (40, rb9.p))  # more than one chunk
     out_rb, out_h = realize_batch(rb_net, params.T), realize_batch(h_net, params.T)
     want = (
         evaluate_error(rb9, rb_net, params, sys9.G, "euclidean-rb", outputs=out_rb).err_euclid_rb,
@@ -632,11 +633,31 @@ def test_error_columns_match_the_modes_with_one_check_and_solve(sys9, rb9, monke
         real = getattr(pde, name)
         spy = lambda *a, real=real, name=name: calls.append((name, real(*a))) or calls[-1][1]
         monkeypatch.setattr(pde, name, spy)
-    got = _error_columns(rb9, params, sys9.G, out_rb, out_h)
+    got_rb, got_h, got = solution_errors(rb9, rb_net, h_net, params, sys9.G)
     assert [name for name, _ in calls] == ["_reduced_solves", "_check_gram"]
     # one stacked solve, each row the bytes of that parameter's reduced_solve
     assert [u.tobytes() for u in calls[0][1]] == each
     assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+    # the shared prefix, evaluated once, gives each network's own outputs
+    assert got_rb.tobytes() == out_rb.tobytes() and got_h.tobytes() == out_h.tobytes()
+
+
+def test_solution_errors_takes_one_pair_of_its_basis(sys9, rb9):
+    C_f = 1.01 * np.linalg.norm(rb9.f_rb)
+    rb_net, h_net = solution_network(rb9, 1e-3, C_f)
+    other_rb, other_h = solution_network(rb9, 1e-3, C_f)  # equal weights, other layer objects
+    params = np.random.default_rng(10).uniform(0, 1, (3, rb9.p))
+    solution_errors(rb9, rb_net, h_net, params, sys9.G)
+    short = dataclasses.replace(rb9, V=rb9.V[:-1])  # h_net emits a row more than V has
+    for rb, net_rb, net_h in [
+        (rb9, rb_net, other_h), (rb9, other_rb, h_net), (rb9, h_net, rb_net), (short, rb_net, h_net)
+    ]:
+        with pytest.raises(InvalidArgument, match="not a solution_network pair"):
+            solution_errors(rb, net_rb, net_h, params, sys9.G)
+    with pytest.raises(InvalidArgument, match="at least one test parameter"):
+        solution_errors(rb9, rb_net, h_net, np.zeros((0, rb9.p)), sys9.G)
+    with pytest.raises(DimensionMismatch):
+        solution_errors(rb9, rb_net, h_net, params[:, 1:], sys9.G)
 
 
 def test_stacked_reduced_solve_runs_in_chunks_with_a_stacked_right_hand_side(rb9, monkeypatch):
@@ -925,11 +946,12 @@ def _poisoned(a, value):
         lambda rb: dict(beta=np.inf),
         lambda rb: dict(truncation_sup=np.nan),
         lambda rb: dict(truncation_sup=np.inf),
+        lambda rb: dict(alpha=-rb.beta),
     ],
     ids=[
         "V-3d", "theta-one-entry", "theta-3x3", "f_rb-short", "p-mismatch", "V-one-row-fewer",
         "V-nan", "theta-inf", "f_rb-minus-inf", "alpha-nan", "beta-inf", "truncation_sup-nan",
-        "truncation_sup-inf",
+        "truncation_sup-inf", "alpha-plus-beta-zero",
     ],
 )
 def test_load_reduced_rejects_inconsistent_payload(tmp_path, rb9, edit):
