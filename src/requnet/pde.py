@@ -10,12 +10,22 @@ Dirichlet boundary.  The Gram matrix G is the unit-coefficient stiffness
 matrix (the H^1_0 seminorm), which makes beta = mu and alpha = mu + 1
 exact spectral bounds for every parametric operator in the box.
 
+The reduced basis is the strong greedy over the snapshots: each step
+takes the snapshot whose G-norm residual against the current basis is
+largest, until every residual is below drop_tol times the largest
+snapshot norm.
+
 The network side is affine -> Neumann chain -> affine: one exact layer
-for the scaled reduced operator y -> vec(lam * B^rb_y), the Neumann-series
-inversion network, and one exact layer for the constant reduced load,
-vec(B^-1) -> B^-1 f_rb = (f_rb^T kron I_d) vec(B^-1).  The whole
-approximation budget is spent on the truncated Neumann series, so the
-end-to-end error against the reduced solve stays below epsilon.
+for the scaled reduced operator y -> vec(lam * B^rb_y) with the optimal
+Richardson scaling lam = 2/(alpha + beta), the Neumann-series inversion
+network, and one exact layer for the constant reduced load,
+vec(B^-1) -> B^-1 f_rb = (f_rb^T kron I_d) vec(B^-1).  The epsilon ledger
+has two entries: the operator and load layers are exact, so the truncated
+Neumann series gets (1 - _ROUNDING_SHARE) epsilon = 0.9 epsilon, and the
+rest is held back for the rounding of the evaluation in floating point.
+The series runs at the margin delta that ReducedBasis certifies from its
+own pieces, so the end-to-end error against the reduced solve stays below
+0.9 epsilon in exact arithmetic.
 """
 
 from __future__ import annotations
@@ -26,9 +36,7 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .calculus import affine_network, concat, sparse_concat
 from .errors import (
@@ -116,11 +124,13 @@ class ReducedBasis:
 
     theta[0] = V^T B0 V and theta[i] = V^T Bs[i-1] V, so the reduced
     operator at parameter y is theta[0] + sum_i y_i theta[i].  alpha and
-    beta are the coefficient sup/inf; the properties lam = 1/(alpha+beta),
-    the scaling that makes I - lam*B a contraction, delta = lam*beta, its
-    margin, and d are derived.  truncation_sup is the largest G-norm
-    projection residual among the snapshots dropped in orthonormalization
-    (None when the basis was loaded from a document that does not record it).
+    beta are the coefficient sup/inf.  Derived: d; lam = 2/(alpha + beta),
+    the optimal Richardson scaling, which makes I - lam*B a contraction of
+    margin 2 beta/(alpha + beta) when the reduced spectrum lies in
+    [beta, alpha]; and delta, that margin as certified from theta itself
+    (see delta).  truncation_sup is the largest G-norm residual of any
+    snapshot against span(V) when the greedy stopped (None when the basis
+    was loaded from a document that does not record it).
     """
 
     V: np.ndarray
@@ -140,11 +150,32 @@ class ReducedBasis:
 
     @property
     def lam(self):
-        return 1.0 / (self.alpha + self.beta)
+        return 2.0 / (self.alpha + self.beta)
 
-    @property
+    @functools.cached_property
     def delta(self):
-        return self.lam * self.beta
+        """Certified margin: ||I - lam B^rb_y||_2 <= 1 - delta on the box.
+
+        By Weyl's inequality, with n = sum_i min(lambda_min(theta[i]), 0)
+        (0 in exact arithmetic, as each theta[i] is PSD), every eigenvalue
+        of B^rb_y for y in [0, 1]^p lies in [lo, hi], lo = lambda_min(theta[0])
+        + n and hi = lambda_max(theta[0] + ... + theta[p]) - n, so
+        delta = 1 - max(|1 - lam lo|, |1 - lam hi|).  This reads the rounded
+        reduced pieces rather than assuming [beta, alpha]: lambda_min(theta[0])
+        can fall below beta in the last bits.  A delta outside (0, 1)
+        raises InvalidArgument.
+        """
+        eigs = [np.linalg.eigvalsh(t) for t in self.theta]
+        neg = sum(min(float(e[0]), 0.0) for e in eigs[1:])
+        lo = float(eigs[0][0]) + neg
+        hi = float(np.linalg.eigvalsh(sum(self.theta))[-1]) - neg
+        delta = 1.0 - max(abs(1.0 - self.lam * lo), abs(1.0 - self.lam * hi))
+        if not 0.0 < delta < 1.0:
+            raise InvalidArgument(
+                f"reduced spectrum bounds [{lo:.6g}, {hi:.6g}] certify no contraction "
+                f"margin in (0, 1) at lam = {self.lam:.6g} (got {delta:.6g})"
+            )
+        return delta
 
 
 @dataclass(frozen=True)
@@ -341,6 +372,8 @@ def solve_high_fidelity(sys, y):
     some subdomain, say) raises SingularSystem.  Costs O(D * bw^2) time and
     (bw + 1) * D doubles with bw the half-bandwidth.
     """
+    import scipy.linalg as sla  # imported on first use: only the snapshot solves need it
+
     y = _parameter(y, sys.p)
     shape, ((pos, vals), *terms) = sys._band_plan
     ab = np.zeros(shape)
@@ -359,58 +392,77 @@ def solve_high_fidelity(sys, y):
     return u
 
 
-def _g_norm(G, v):
-    """G-norm sqrt(v^T G v) of one vector; rounding below zero reads as 0."""
-    return np.sqrt(max(float(v @ (G @ v)), 0.0))
+def _g_norms(G, E, GE=None):
+    """G-norm sqrt(e^T G e) of every column e of E (rounding below zero
+    reads as 0), GE = G @ E unless given: one reduction over E * GE.
 
-
-def _g_norms(G, E):
-    """_g_norm of every column of E, with one sparse product G @ E.
-
-    For a C-ordered E, as _error_columns passes, each ddot runs over
-    strided columns as in _g_norm, and the values agree bit for bit.
+    einsum adds the rows of a C-ordered batch of two or more columns in
+    order, the same order for every column; a lone column would be summed
+    as one contiguous dot instead, so it is summed beside a copy of itself.
+    A column's norm thus has the same bits alone as in any batch.
     """
-    GE = G @ E
-    return np.array([np.sqrt(max(float(e @ ge), 0.0)) for e, ge in zip(E.T, GE.T)])
+    if GE is None:
+        GE = G @ E
+    n = E.shape[1]
+    if n == 1:
+        E, GE = np.repeat(E, 2, axis=1), np.repeat(GE, 2, axis=1)
+    sq = np.einsum("ij,ij->j", np.ascontiguousarray(E), np.ascontiguousarray(GE))[:n]
+    return np.sqrt(np.maximum(sq, 0.0))
+
+
+def _g_norm(G, v):
+    """_g_norms of one vector."""
+    return float(_g_norms(G, v[:, None])[0])
 
 
 def build_reduced_basis(sys, snapshot_params, drop_tol=1e-8):
-    """Snapshot solves plus modified Gram-Schmidt in the G-inner product.
+    """Snapshot solves plus the strong greedy in the G-inner product.
 
-    Each snapshot is projected out of the current basis twice (one
-    re-orthogonalization pass keeps V^T G V at the 1e-10 level even when
-    snapshots are numerically dependent) and dropped when its residual
-    G-norm falls below drop_tol times the largest snapshot G-norm.
+    With R the snapshots (one column each), every step takes the first
+    column of largest G-norm residual, orthonormalizes it against the
+    basis (one more projection pass, a re-orthogonalization that keeps
+    V^T G V at the 1e-10 level even when snapshots are numerically
+    dependent) and removes the new vector v from every column,
+    R <- R - v (G v)^T R, and from G R the same way: one BLAS-2 step per
+    basis vector, at most one vector per snapshot.  It stops when the
+    largest residual falls below drop_tol times the largest snapshot G-norm
+    (or to zero); that final largest residual, over all snapshots, is
+    truncation_sup.
     """
     params = _parameters(snapshot_params, sys.p, "snapshot", EmptySnapshotSet)
     if not (np.isfinite(drop_tol) and drop_tol >= 0):
         raise InvalidArgument(f"drop_tol must be a nonnegative real, got {drop_tol}")
 
+    from scipy.linalg.blas import dger  # loaded with scipy.linalg by the solves
+
     G = sys.G
-    snapshots = [solve_high_fidelity(sys, y) for y in params]
-    scale = max(_g_norm(G, u) for u in snapshots)
+    R = np.column_stack([solve_high_fidelity(sys, y) for y in params])
+    GR = G @ R
+    norms = _g_norms(G, R, GR)
+    floor = drop_tol * norms.max()
+    D, n = R.shape
+    V, GV = np.empty((D, n)), np.empty((D, n))  # v and G v of the d basis vectors
+    d = 0
+    while d < n:  # one basis vector per snapshot at most
+        j = int(np.argmax(norms))  # the first of the largest residuals
+        if norms[j] < floor or norms[j] == 0.0:
+            break
+        v = R[:, j] - V[:, :d] @ (GV[:, :d].T @ R[:, j])
+        v /= _g_norm(G, v)
+        V[:, d], GV[:, d] = v, G @ v
+        c = GV[:, d] @ R
+        # R -= v c^T and GR -= (G v) c^T as rank-1 updates in place on the
+        # Fortran-ordered R^T and GR^T, with no D x n temporary
+        dger(-1.0, c, v, a=R.T, overwrite_a=True)
+        dger(-1.0, c, GV[:, d], a=GR.T, overwrite_a=True)
+        d += 1
+        norms = _g_norms(G, R, GR)
 
-    basis = []
-    g_basis = []
-    truncation_sup = 0.0
-    for u in snapshots:
-        v = u.copy()
-        for _ in range(2):
-            for vi, wi in zip(basis, g_basis):
-                v = v - (wi @ v) * vi
-        norm = _g_norm(G, v)
-        if norm < drop_tol * scale or norm == 0.0:
-            truncation_sup = max(truncation_sup, norm)
-            continue
-        v = v / norm
-        basis.append(v)
-        g_basis.append(G @ v)
-
-    if not basis:
+    if d == 0:
         raise EmptySnapshotSet(
             "every snapshot fell below drop_tol; no basis vector survives"
         )
-    V = np.array(basis).T
+    V = np.ascontiguousarray(V[:, :d])
     theta = (V.T @ (sys.B0 @ V),) + tuple(V.T @ (Bi @ V) for Bi in sys.Bs)
     return ReducedBasis(
         V=V,
@@ -418,7 +470,7 @@ def build_reduced_basis(sys, snapshot_params, drop_tol=1e-8):
         f_rb=V.T @ sys.f,
         alpha=sys.mu + 1.0,
         beta=sys.mu,
-        truncation_sup=truncation_sup,
+        truncation_sup=float(norms.max()),
     )
 
 
@@ -474,20 +526,25 @@ def inv_b_network(rb, epsilon):
     """Network mapping y to approximately vec((B^rb_y)^{-1}).
 
     Feeds the exact contraction network into the Neumann inversion
-    network and rescales by lam.  The inversion stage runs at tolerance
-    epsilon/(2*lam) with contraction margin delta/2, which bounds the
-    spectral error of the composite by epsilon/2 uniformly over the box.
+    network and rescales by lam: lam times the partial sum for
+    I - lam B^rb_y approximates (B^rb_y)^{-1}, so the inversion stage runs
+    at tolerance epsilon/lam and the certified margin rb.delta, which
+    bounds the spectral error of the composite by epsilon uniformly over
+    the box.
     """
     if not (np.isfinite(epsilon) and 0.0 < epsilon < 1.0):
         raise InvalidArgument(f"epsilon must lie in (0, 1), got {epsilon}")
-    # The inversion stage needs its tolerance in (0, 1); the 0.9 clamp can
-    # only engage when epsilon/(2*lam) > 0.9, where it still leaves the
-    # composite error below epsilon/2.
-    eps_inner = min(epsilon / (2.0 * rb.lam), 0.9)
-    inv = inversion_network(rb.d, eps_inner, rb.delta / 2.0)
+    # The inversion stage needs its tolerance in (0, 1); the 0.9 clamp only
+    # ever lowers it, so the composite error stays below epsilon.
+    inv = inversion_network(rb.d, min(epsilon / rb.lam, 0.9), rb.delta)
     core = sparse_concat(inv, contraction_network(rb))
     head = affine_network(rb.lam * sp.identity(rb.d * rb.d, format="csr"))
     return concat(head, core)
+
+
+# Share of epsilon that solution_network keeps back for the rounding of the
+# evaluation in floating point; the truncated Neumann series gets the rest.
+_ROUNDING_SHARE = 0.1
 
 
 def solution_network(rb, epsilon, C_f):
@@ -496,9 +553,13 @@ def solution_network(rb, epsilon, C_f):
     The reduced variant applies the exact linear map
     vec(M) -> M f_rb = (f_rb^T kron I_d) vec(M) to the approximate inverse,
     fused into its last layer; the high-fidelity variant lifts it through
-    V.  The inverse is built at epsilon/(epsilon*beta + 2*C_f), so the
-    reduced output stays within epsilon of reduced_solve (Euclidean), and
-    the lifted output within epsilon in the G-norm by G-orthonormality of V.
+    V.  The epsilon ledger: the operator and load layers are exact, so the
+    inverse is built to spectral error (1 - _ROUNDING_SHARE) epsilon / C_f,
+    i.e. the Neumann series runs at tolerance 0.9 epsilon/(lam C_f) at the
+    certified margin rb.delta, and the remaining 0.1 epsilon is held back
+    for rounding.  The reduced output thus stays within 0.9 epsilon of
+    reduced_solve (Euclidean) in exact arithmetic, and the lifted output
+    within 0.9 epsilon in the G-norm by G-orthonormality of V.
 
     h_net._layers[:-2] are the very stored layers of rb_net._layers[:-1],
     so solution_errors evaluates that shared prefix once for both.
@@ -510,11 +571,11 @@ def solution_network(rb, epsilon, C_f):
         raise InvalidArgument(
             f"C_f must be positive and at least |f_rb| = {f_norm:.6g}, got {C_f}"
         )
-    # The load map is exact, so the error is at most eps_prime/2 * |f_rb|
-    # <= epsilon/4; clamp only to keep the argument in (0,1).
-    eps_prime = min(epsilon / (epsilon * rb.beta + 2.0 * C_f), 0.9)
+    # |M f_rb - B^-1 f_rb| <= |M - B^-1|_2 C_f; the clamp keeps the
+    # argument in (0, 1) and only ever lowers it.
+    eps_inverse = min((1.0 - _ROUNDING_SHARE) * epsilon / C_f, 0.9)
     load = affine_network(sp.kron(rb.f_rb[None, :], sp.eye(rb.d), format="csr"))
-    rb_net = concat(load, inv_b_network(rb, eps_prime))
+    rb_net = concat(load, inv_b_network(rb, eps_inverse))
     h_net = sparse_concat(affine_network(sp.csr_matrix(rb.V)), rb_net)
     return rb_net, h_net
 
@@ -527,6 +588,8 @@ def _check_gram(G):
     off-diagonal one (a zero diagonal pivot means a singular leading
     block).  SuperLU reports a zero column as exactly singular.
     """
+    import scipy.sparse.linalg as spla  # imported on first use: only this check needs it
+
     try:
         lu = spla.splu(
             sp.csc_matrix(G),
@@ -698,7 +761,9 @@ def load_reduced_network(path):
 def _check_reduced_payload(net, rb):
     """Raise InvalidArgument unless V is D x d, theta holds p + 1 >= 2
     d x d matrices, f_rb has length d, net maps p inputs to d or D, V, theta,
-    f_rb, alpha, beta and truncation_sup (unless None) are finite, and alpha + beta != 0."""
+    f_rb, alpha, beta and truncation_sup (unless None) are finite, and
+    0 < beta < alpha, the bounds lam = 2/(alpha + beta) and its margin
+    2 beta/(alpha + beta) in (0, 1) need."""
     shapes = {t.shape for t in rb.theta}
     ok = rb.V.ndim == 2 and shapes == {(rb.d, rb.d)} and rb.f_rb.shape == (rb.d,)
     if not (ok and net.input_dim == rb.p and net.output_dim in (rb.d, rb.V.shape[0])):
@@ -709,5 +774,7 @@ def _check_reduced_payload(net, rb):
     sup = 0.0 if rb.truncation_sup is None else rb.truncation_sup
     if not all(np.isfinite(a).all() for a in (rb.V, *rb.theta, rb.f_rb, rb.alpha, rb.beta, sup)):
         raise InvalidArgument("reduced-basis payload has non-finite entries")
-    if rb.alpha + rb.beta == 0:
-        raise InvalidArgument("reduced-basis payload has alpha + beta == 0")
+    if not 0.0 < rb.beta < rb.alpha:
+        raise InvalidArgument(
+            f"reduced-basis payload needs 0 < beta < alpha, got beta {rb.beta!r}, alpha {rb.alpha!r}"
+        )

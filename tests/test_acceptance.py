@@ -140,8 +140,8 @@ def test_parametric_diffusion_end_to_end(tmp_path):
     assert doc["d"] <= 66
     assert doc["alpha"] == 1.1
     assert doc["beta"] == 0.1
-    assert doc["lambda"] == pytest.approx(1 / 1.2, rel=1e-12)
-    assert doc["delta"] == pytest.approx(1 / 12, rel=1e-12)
+    assert doc["lambda"] == pytest.approx(2 / 1.2, rel=1e-12)
+    assert doc["delta"] == pytest.approx(2 * 0.1 / 1.2, rel=1e-12)
     assert doc["worst_euclid"] <= 1e-3
     assert doc["worst_g"] <= 1e-3
 

@@ -20,6 +20,20 @@ def run_cli(*args):
     return subprocess.run(CLI + list(args), capture_output=True, text=True)
 
 
+@pytest.mark.parametrize("module", ["requnet", "requnet.cli"])
+def test_import_leaves_the_dense_and_sparse_solvers_unloaded(module):
+    """scipy.linalg and scipy.sparse.linalg are imported on first use by
+    the snapshot solves and the Gram check, so invert, complexity and verify
+    never pay for them."""
+    code = (
+        f"import sys, {module}; "
+        "print([m for m in ('scipy.linalg', 'scipy.sparse.linalg') if m in sys.modules])"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 # ------------------------------------------------------------------- verify
 
 

@@ -63,6 +63,15 @@ def reduced_operator(rb, y):
     return rb.theta[0] + sum(yi * ti for yi, ti in zip(y, rb.theta[1:]))
 
 
+def certified_margin(rb):
+    """1 - max |1 - lam mu| over mu in the Weyl interval [lo, hi] of the
+    reduced operators on the box, from dense eigenvalues of the pieces."""
+    neg = sum(min(np.linalg.eigvalsh(t).min(), 0.0) for t in rb.theta[1:])
+    lo = np.linalg.eigvalsh(rb.theta[0]).min() + neg
+    hi = np.linalg.eigvalsh(sum(rb.theta)).max() - neg
+    return 1.0 - max(abs(1.0 - rb.lam * lo), abs(1.0 - rb.lam * hi))
+
+
 # -------------------------------------------------------------------- assembly
 
 
@@ -310,8 +319,9 @@ def test_basis_orthonormal_and_constants(sys9, rb9):
     np.testing.assert_allclose(gram, np.eye(8), rtol=0, atol=1e-10)
     assert rb9.alpha == 1.1
     assert rb9.beta == 0.1
-    assert rb9.lam == 1.0 / (rb9.alpha + rb9.beta)
-    assert rb9.delta == rb9.lam * rb9.beta
+    assert rb9.lam == 2.0 / (rb9.alpha + rb9.beta)
+    assert rb9.delta == certified_margin(rb9)
+    assert rb9.delta == pytest.approx(2.0 * rb9.beta / (rb9.alpha + rb9.beta), rel=1e-12)
     assert rb9.p == 4
     assert rb9.theta[0].shape == (8, 8) and len(rb9.theta) == 5
 
@@ -341,6 +351,71 @@ def test_basis_size_bounded_by_snapshots(sys9):
     rng = np.random.default_rng(5)
     rb = build_reduced_basis(sys9, rng.uniform(0, 1, (3, 4)))
     assert rb.d <= 3
+
+
+@pytest.fixture(scope="module")
+def snapshots33():
+    """Snapshot matrix (one column each) of 40 parameters at grid 33, 3 x 3."""
+    sys = assemble_affine_system(33, 3, 0.1)
+    params = np.random.default_rng(404).uniform(0, 1, (40, 9))
+    return sys, params, np.column_stack([solve_high_fidelity(sys, y) for y in params])
+
+
+def _g_residuals(G, V, U):
+    """Dense-Cholesky G-norms of the columns of U after G-orthogonal
+    projection onto span(V), with the projector from V's own Gram matrix."""
+    L = np.linalg.cholesky(G.toarray())
+    R = U - V @ np.linalg.solve(V.T @ (G @ V), V.T @ (G @ U))
+    return np.linalg.norm(L.T @ R, axis=0)
+
+
+def _draw_order_dimension(G, U, drop_tol):
+    """Basis size of Gram-Schmidt in draw order: keep each snapshot whose
+    G-norm residual against the kept ones is at least drop_tol times the
+    largest snapshot G-norm."""
+    L = np.linalg.cholesky(G.toarray())
+    W = L.T @ U  # the G-inner product becomes the Euclidean one
+    norms = np.linalg.norm(W, axis=0)
+    Q = np.zeros((W.shape[0], 0))
+    for w in W.T:
+        for _ in range(2):
+            w = w - Q @ (Q.T @ w)
+        if np.linalg.norm(w) >= drop_tol * norms.max():
+            Q = np.column_stack([Q, w / np.linalg.norm(w)])
+    return Q.shape[1]
+
+
+@pytest.mark.parametrize("drop_tol", [5e-2, 2e-2, 1e-2])
+def test_greedy_truncation_sup_is_the_largest_projection_residual(snapshots33, drop_tol):
+    sys, params, U = snapshots33
+    rb = build_reduced_basis(sys, params, drop_tol)
+    residuals = _g_residuals(sys.G, rb.V, U)
+    scale = _g_residuals(sys.G, np.zeros((sys.D, 0)), U).max()
+    assert rb.truncation_sup == pytest.approx(residuals.max(), rel=1e-9)
+    assert rb.truncation_sup < drop_tol * scale * (1 + 1e-9)
+
+
+@pytest.mark.parametrize("drop_tol", [5e-2, 2e-2, 1e-2])
+def test_greedy_basis_no_larger_than_draw_order(snapshots33, drop_tol):
+    sys, params, U = snapshots33
+    rb = build_reduced_basis(sys, params, drop_tol)
+    assert rb.d <= _draw_order_dimension(sys.G, U, drop_tol)
+    gram = rb.V.T @ (sys.G @ rb.V)
+    np.testing.assert_allclose(gram, np.eye(rb.d), rtol=0, atol=1e-10)
+
+
+def test_greedy_takes_the_largest_residual_first(sys9):
+    """The first basis vector is the snapshot of largest G-norm (here the
+    second drawn), normalized; two equal snapshots give one basis vector."""
+    params = np.array([[0.9, 0.1, 0.5, 0.3], [0.0, 0.2, 0.0, 0.1], [0.5, 0.9, 0.2, 0.7]])
+    U = np.column_stack([solve_high_fidelity(sys9, y) for y in params])
+    norms = _g_residuals(sys9.G, np.zeros((sys9.D, 0)), U)
+    assert np.argmax(norms) == 1
+    rb = build_reduced_basis(sys9, params, drop_tol=0.0)
+    first = U[:, 1] / norms[1]
+    np.testing.assert_allclose(rb.V[:, 0], first, rtol=0, atol=1e-12 * np.abs(first).max())
+    twin = build_reduced_basis(sys9, params[[1, 1]], drop_tol=1e-8)
+    assert twin.d == 1 and twin.truncation_sup < 1e-12
 
 
 # ------------------------------------------------------------- reduced_solve
@@ -389,6 +464,60 @@ def test_reduced_operator_spectrum_sandwich(sys9, rb9):
         assert eigs.min() >= rb9.beta - 1e-9
         assert eigs.max() <= rb9.alpha + 1e-9
         assert np.linalg.norm(eye - rb9.lam * th, 2) <= 1.0 - rb9.delta + 1e-9
+
+
+def _rounding(rb):
+    """d ulps of 1: the rounding of forming I - lam B^rb_y and of its
+    computed spectral norm, against which the exact-arithmetic margin
+    cannot be checked."""
+    return rb.d * np.finfo(float).eps
+
+
+def test_reduced_contraction_is_plus_minus_one_minus_delta_at_the_ends(rb9):
+    """theta[0] = mu V^T G V and the sum of all pieces is (mu + 1) V^T G V,
+    so at y = 0 and y = 1 the contraction is +(1 - delta) I and -(1 - delta) I
+    up to rounding: the worst cases over the box, where the certified
+    margin is tight, so the norm holds only up to the d ulps that forming
+    and measuring the contraction in floating point may add."""
+    net = contraction_network(rb9)
+    eye = np.eye(rb9.d)
+    for y, sign in ((np.zeros(4), 1.0), (np.ones(4), -1.0)):
+        got = matr(realize(net, y), rb9.d, rb9.d)
+        np.testing.assert_allclose(got, sign * (1.0 - rb9.delta) * eye, rtol=0, atol=1e-14)
+        assert np.linalg.norm(got, 2) <= 1.0 - rb9.delta + _rounding(rb9)
+
+
+def test_certified_margin_holds_at_every_corner_and_within(rb9):
+    """At every one of the 2^p corners of the box and at random interior
+    points, ||I - lam B^rb_y||_2 <= 1 - delta, and both solution networks
+    stay within the Neumann share 0.9 eps of the reduced solve."""
+    eps = 1e-3
+    rb_net, h_net = solution_network(rb9, eps, 1.01 * np.linalg.norm(rb9.f_rb))
+    L = np.linalg.cholesky(pde.assemble_affine_system(9, 2, 0.1).G.toarray())
+    corners = np.array(np.meshgrid(*[[0.0, 1.0]] * 4, indexing="ij")).reshape(4, -1).T
+    ys = np.vstack([corners, np.random.default_rng(171).uniform(0, 1, (20, 4))])
+    contraction = contraction_network(rb9)
+    for y in ys:
+        got = matr(realize(contraction, y), rb9.d, rb9.d)
+        assert np.linalg.norm(got, 2) <= 1.0 - rb9.delta + _rounding(rb9)
+        u = reduced_solve(rb9, y)
+        assert np.linalg.norm(realize(rb_net, y) - u) <= 0.9 * eps
+        assert np.linalg.norm(L.T @ (realize(h_net, y) - rb9.V @ u)) <= 0.9 * eps
+
+
+def test_margin_certified_from_the_pieces_not_assumed(rb9):
+    """delta reads the reduced pieces: a negative eigenvalue in a
+    parameter piece widens the Weyl interval and shrinks the margin, and an
+    operator with no certified margin in (0, 1) raises."""
+    bump = 1e-3 * np.eye(rb9.d)
+    shifted = dataclasses.replace(rb9, theta=(rb9.theta[0], rb9.theta[1] - bump, *rb9.theta[2:]))
+    assert shifted.delta == certified_margin(shifted)
+    assert shifted.delta < rb9.delta - 1e-4
+    singular = dataclasses.replace(rb9, theta=(0.0 * rb9.theta[0], *rb9.theta[1:]))
+    with pytest.raises(InvalidArgument):
+        singular.delta
+    with pytest.raises(InvalidArgument):
+        solution_network(singular, 1e-3, 1.01 * np.linalg.norm(rb9.f_rb))
 
 
 # ------------------------------------------------- parameter-to-operator nets
@@ -469,10 +598,10 @@ def test_inv_b_scalar_geometric_series():
     np.testing.assert_allclose(rb.theta[1], [[1.0]], rtol=1e-12)
     eps = 1e-4
     net = inv_b_network(rb, eps)
-    l = neumann_length(min(eps / (2 * rb.lam), 0.9), rb.delta / 2).l
+    l = neumann_length(min(eps / rb.lam, 0.9), rb.delta).l
     for y in np.linspace(0.0, 1.0, 100):
         got = realize(net, [y])[0]
-        assert abs(got - 1.0 / (0.5 + y)) <= eps / 2 * (1 + 1e-9)
+        assert abs(got - 1.0 / (0.5 + y)) <= eps * (1 + 1e-9)
         series = rb.lam * sum((1 - rb.lam * (0.5 + y)) ** k for k in range(2**l))
         np.testing.assert_allclose(got, series, rtol=1e-10)
 
@@ -480,14 +609,14 @@ def test_inv_b_scalar_geometric_series():
 def test_inv_b_depth_and_error_budget(rb9):
     eps = 1e-3
     net = inv_b_network(rb9, eps)
-    l = neumann_length(min(eps / (2 * rb9.lam), 0.9), rb9.delta / 2).l
+    l = neumann_length(min(eps / rb9.lam, 0.9), rb9.delta).l
     assert complexity(net).depth == 2 * l + 2
     rng = np.random.default_rng(91)
     for _ in range(10):
         y = rng.uniform(0, 1, 4)
         got = matr(realize(net, y), rb9.d, rb9.d)
         want = np.linalg.inv(reduced_operator(rb9, y))
-        assert np.linalg.norm(got - want, 2) <= eps / 2 * (1 + 1e-9)
+        assert np.linalg.norm(got - want, 2) <= eps * (1 + 1e-9)
 
 
 def test_inv_b_rejects_bad_epsilon(rb9):
@@ -519,8 +648,8 @@ def test_solution_network_depth_relation(rb9):
     eps = 1e-3
     C_f = 1.01 * np.linalg.norm(rb9.f_rb)
     rb_net, h_net = solution_network(rb9, eps, C_f)
-    eps_prime = min(eps / (eps * rb9.beta + 2.0 * C_f), 0.9)
-    l = neumann_length(min(eps_prime / (2 * rb9.lam), 0.9), rb9.delta / 2).l
+    eps_inverse = min(0.9 * eps / C_f, 0.9)
+    l = neumann_length(min(eps_inverse / rb9.lam, 0.9), rb9.delta).l
     assert complexity(rb_net).depth == 2 * l + 2
     assert complexity(h_net).depth == complexity(rb_net).depth + 1
 
@@ -531,9 +660,9 @@ def test_load_layer_is_linear_in_the_inverse(rb9):
     eps = 1e-3
     C_f = 1.01 * np.linalg.norm(rb9.f_rb)
     rb_net, h_net = solution_network(rb9, eps, C_f)
-    eps_prime = min(eps / (eps * rb9.beta + 2.0 * C_f), 0.9)
-    inv = inv_b_network(rb9, eps_prime)
-    l = neumann_length(min(eps_prime / (2 * rb9.lam), 0.9), rb9.delta / 2).l
+    eps_inverse = min(0.9 * eps / C_f, 0.9)
+    inv = inv_b_network(rb9, eps_inverse)
+    l = neumann_length(min(eps_inverse / rb9.lam, 0.9), rb9.delta).l
     depths = [net.depth for net in (contraction_network(rb9), inv, rb_net, h_net)]
     assert depths == [1, 2 * l + 2, 2 * l + 2, 2 * l + 3]
     rng = np.random.default_rng(75)
@@ -828,7 +957,7 @@ def test_save_load_reduced_round_trip(tmp_path):
     assert all((a == b).all() for a, b in zip(rb2.theta, rb.theta))
     assert (rb2.f_rb == rb.f_rb).all()
     assert rb2.alpha == rb.alpha and rb2.beta == rb.beta
-    assert rb2.lam == 1.0 / (rb2.alpha + rb2.beta)
+    assert rb2.lam == 2.0 / (rb2.alpha + rb2.beta)
     assert rb2.truncation_sup == rb.truncation_sup
     for y in np.linspace(0, 1, 7):
         assert (realize(net2, [y]) == realize(rb_net, [y])).all()
@@ -897,7 +1026,7 @@ def test_dense_reduced_document_still_loads(tmp_path):
     assert np.array_equal(rb.V, [[0.6], [0.8]]) and rb.d == 1
     assert rb.theta[0][0, 0] == 0.5000000000000002
     assert rb.theta[1][0, 0] == 1.0000000000000004
-    assert (rb.alpha, rb.beta, rb.lam, rb.truncation_sup) == (1.5, 0.5, 0.5, 0.0)
+    assert (rb.alpha, rb.beta, rb.lam, rb.truncation_sup) == (1.5, 0.5, 1.0, 0.0)
     assert realize(net, [2.0])[0] == 0.25 * 2.0**2 + 3.96805425182854
 
 
@@ -947,11 +1076,16 @@ def _poisoned(a, value):
         lambda rb: dict(truncation_sup=np.nan),
         lambda rb: dict(truncation_sup=np.inf),
         lambda rb: dict(alpha=-rb.beta),
+        lambda rb: dict(alpha=5e-324, beta=0.0),
+        lambda rb: dict(beta=rb.alpha),
+        lambda rb: dict(beta=rb.alpha + 1.0),
+        lambda rb: dict(beta=-rb.beta),
     ],
     ids=[
         "V-3d", "theta-one-entry", "theta-3x3", "f_rb-short", "p-mismatch", "V-one-row-fewer",
         "V-nan", "theta-inf", "f_rb-minus-inf", "alpha-nan", "beta-inf", "truncation_sup-nan",
-        "truncation_sup-inf", "alpha-plus-beta-zero",
+        "truncation_sup-inf", "alpha-plus-beta-zero", "alpha-tiny-beta-zero", "beta-equals-alpha",
+        "beta-above-alpha", "beta-negative",
     ],
 )
 def test_load_reduced_rejects_inconsistent_payload(tmp_path, rb9, edit):

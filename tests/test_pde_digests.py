@@ -13,8 +13,8 @@ PDE_GRID9 = [
 ]
 
 DIGESTS = {
-    "pde.json": "f66a16c013e5f94aa45bbd81745f301efc9bffd93ad41d806e66d0bc9189cd0e",
-    "pde.csv": "8383e928bd06d4325480c01f13637cf9e6b813a8b08afa63cf4dc00a8957f9a6",
+    "pde.json": "9f064b06ec378db44e6f0c61b699a1e331522f24b0709bdfac21e2470318c67b",
+    "pde.csv": "847395a3f366e9ce1dcbeb287af5122368fe50ee80166a2c5fa0f876bed1d34e",
 }
 
 
