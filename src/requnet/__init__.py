@@ -69,7 +69,6 @@ from .pde import (
     build_reduced_basis,
     contraction_network,
     evaluate_error,
-    inv_b_network,
     load_reduced_network,
     reduced_solve,
     save_reduced_network,

@@ -12,10 +12,11 @@ follow by composition.  For ||A||_2 <= 1 - delta the partial sum is within
 (1-delta)^(2^l)/delta of (I - A)^{-1}, which the length rule neumann_length
 drives below a requested epsilon.
 
-The inversion network evaluates the product with one shared squaring
-chain: it carries the state (P_k, Q_k) = (prod_{i<k} (A^(2^i) + I), A^(2^k))
-through l stages, each a product beside a squaring, so depth is 2l + 1
-and the nonzero count is linear in l, (96l - 120)d^3 + O(l d^2).
+One Neumann chain evaluates X times the product for a constant n x d X:
+it carries (X P_k, Q_k) = (X prod_{i<k} (A^(2^i) + I), A^(2^k)) through l
+stages, each a product beside a squaring, so the count is linear in l.
+The inversion network takes X = I, (96l - 120)d^3 + O(l d^2) nonzeros at
+depth 2l + 1; the pde solution map a row, (48l - 72)d^3 + O(l d^2).
 """
 
 from __future__ import annotations
@@ -169,17 +170,39 @@ def _shift_by_identity(d):
     return affine_network(sp.eye(dd, format="csr"), vec(np.eye(d)))
 
 
-def _split(d, keep_q):
-    """Affine layer (vec P, vec Q) -> (vec P, vec(Q + I)), followed by a
-    second copy of vec Q when keep_q."""
-    dd = d * d
-    rows = [sp.eye(2 * dd, format="csr")]
+def _split(n, d, keep_q):
+    """Affine layer (vec W, vec Q) -> (vec W, vec(Q + I)), W n x d and Q
+    d x d, followed by a second copy of vec Q when keep_q."""
+    nd, dd = n * d, d * d
+    rows = [sp.eye(nd + dd, format="csr")]
     if keep_q:
-        rows.append(sp.eye(dd, 2 * dd, k=dd, format="csr"))
+        rows.append(sp.eye(dd, nd + dd, k=nd, format="csr"))
     A = sp.vstack(rows, format="csr")
     b = np.zeros(A.shape[0])
-    b[dd : 2 * dd] = vec(np.eye(d))
+    b[nd : nd + dd] = vec(np.eye(d))
     return affine_network(A, b)
+
+
+def _neumann_chain(d, l, first):
+    """Network vec A -> vec(X prod_{i<l} (A^(2^i) + I)) for A d x d, given
+    the affine network first: vec A -> vec(X (A + I)), X constant n x d.
+
+    first itself at l = 1; else l depth-2 stages carrying
+    (vec X P_k, vec Q_k), P_k = prod_{i<k} (A^(2^i) + I) and Q_k = A^(2^k):
+    the product of X P_k by Q_k + I beside square_network on Q_k, the last
+    without the squaring.  One product network (the squaring's when n = d),
+    squaring and duplicator are built per call and shared by all stages.
+    """
+    if l == 1:
+        return first
+    n = first.output_dim // d
+    mult, duplicate = mult_network(d, d, d), _duplicator(d * d)
+    carry = mult if n == d else mult_network(n, d, d)
+    square = concat(mult, duplicate)  # square_network(d) from the shared parts
+    start = concat(parallelize([first, square]), duplicate)
+    stage = concat(parallelize([carry, square]), _split(n, d, keep_q=True))
+    last = concat(carry, _split(n, d, keep_q=False))
+    return _sparse_chain([start] + [stage] * (l - 2) + [last])
 
 
 def inversion_network(d, epsilon, delta):
@@ -188,33 +211,15 @@ def inversion_network(d, epsilon, delta):
     Computes the exact partial sum sum_{k < 2^l} A^k in factored form
     prod_i (A^(2^i) + I), with l = neumann_length(epsilon, delta).l, so for
     every A with ||A||_2 <= 1 - delta the spectral-norm error is at most
-    (1-delta)^(2^l)/delta <= epsilon.  Depth exactly 2l + 1.
-
-    For l >= 2 the network carries the state (vec P_k, vec Q_k), with
-    P_k = prod_{i<k} (A^(2^i) + I) and Q_k = A^(2^k), through l depth-2
-    stages joined by sparse_concat: the first maps vec A to (A + I, A^2),
-    each middle stage runs mult_network on (P_k, Q_k + I) beside
-    square_network on Q_k, and the last multiplies P_{l-1} (Q_{l-1} + I).
-    Each call builds one product, one squaring and one duplicator network,
-    shared by all stages, and each join layer once.  Nonzeros, exactly
-    (_inversion_nnz_exact): (96l - 120)d^3 + (12l + 20)d^2 + (40 - 24l)d
-    for l >= 2, and 32d^2 - 2d for l = 1.
+    (1-delta)^(2^l)/delta <= epsilon.  The Neumann chain at X = I, padded to
+    depth exactly 2l + 1; nonzeros, exactly (_inversion_nnz_exact):
+    (96l - 120)d^3 + (12l + 20)d^2 + (40 - 24l)d for l >= 2, 32d^2 - 2d
+    for l = 1.
     """
     if not _is_size(d):
         raise InvalidArgument(f"need an integer d >= 1, got {d!r}")
     l = neumann_length(epsilon, delta).l
-    if l == 1:
-        # the single factor A + I is one affine layer; pad so the depth
-        # formula 2l + 1 holds uniformly
-        return extend(_shift_by_identity(d), 3)
-    mult, duplicate = mult_network(d, d, d), _duplicator(d * d)
-    square = concat(mult, duplicate)  # square_network(d) from the shared parts
-    first = concat(parallelize([_shift_by_identity(d), square]), duplicate)
-    stage = concat(parallelize([mult, square]), _split(d, keep_q=True))
-    last = concat(mult, _split(d, keep_q=False))
-    net = _sparse_chain([first] + [stage] * (l - 2) + [last])
-    # l depth-2 stages give depth 2l; pad to 2l + 1 as in the l = 1 case
-    return extend(net, 2 * l + 1)
+    return extend(_neumann_chain(d, l, _shift_by_identity(d)), 2 * l + 1)
 
 
 def neumann_partial_sum_oracle(A, l):

@@ -15,14 +15,14 @@ takes the snapshot whose G-norm residual against the current basis is
 largest, until every residual is below drop_tol times the largest
 snapshot norm.
 
-The network side is affine -> Neumann chain -> affine: one exact layer
-for the scaled reduced operator y -> vec(lam * B^rb_y) with the optimal
-Richardson scaling lam = 2/(alpha + beta), the Neumann-series inversion
-network, and one exact layer for the constant reduced load,
-vec(B^-1) -> B^-1 f_rb = (f_rb^T kron I_d) vec(B^-1).  The epsilon ledger
-has two entries: the operator and load layers are exact, so the truncated
-Neumann series gets (1 - _ROUNDING_SHARE) epsilon = 0.9 epsilon, and the
-rest is held back for the rounding of the evaluation in floating point.
+The network side is affine -> Neumann chain: one exact layer for the
+contraction y -> vec(I - lam * B^rb_y) with the optimal Richardson scaling
+lam = 2/(alpha + beta), then the Neumann chain of matrixnets carrying the
+row lam f_rb^T times the partial product of the series, so the load rides
+in the chain's state and no inverse matrix is formed.  The epsilon ledger
+has two entries: the operator layer is exact, so the truncated Neumann
+series gets (1 - _ROUNDING_SHARE) epsilon = 0.9 epsilon, and the rest is
+held back for the rounding of the evaluation in floating point.
 The series runs at the margin delta that ReducedBasis certifies from its
 own pieces, so the end-to-end error against the reduced solve stays below
 0.9 epsilon in exact arithmetic.
@@ -45,7 +45,7 @@ from .errors import (
     InvalidArgument,
     SingularSystem,
 )
-from .matrixnets import inversion_network, vec
+from .matrixnets import _neumann_chain, neumann_length, vec
 from .network import _evaluate, _is_size, _network_doc, _network_from_doc, _read_doc, realize_batch
 
 __all__ = [
@@ -59,7 +59,6 @@ __all__ = [
     "reduced_solve",
     "b_network",
     "contraction_network",
-    "inv_b_network",
     "solution_network",
     "evaluate_error",
     "solution_errors",
@@ -122,8 +121,10 @@ class AffineSystem:
 class ReducedBasis:
     """G-orthonormal reduced basis and the reduced-space components.
 
-    theta[0] = V^T B0 V and theta[i] = V^T Bs[i-1] V, so the reduced
-    operator at parameter y is theta[0] + sum_i y_i theta[i].  alpha and
+    theta[0] = V^T B0 V and theta[i] = V^T Bs[i-1] V, kept exactly
+    symmetric (each piece t is stored as (t + t^T)/2, which is t itself
+    when t is symmetric), so the reduced operator at parameter y is the
+    symmetric theta[0] + sum_i y_i theta[i].  alpha and
     beta are the coefficient sup/inf.  Derived: d; lam = 2/(alpha + beta),
     the optimal Richardson scaling, which makes I - lam*B a contraction of
     margin 2 beta/(alpha + beta) when the reduced spectrum lies in
@@ -139,6 +140,14 @@ class ReducedBasis:
     alpha: float
     beta: float
     truncation_sup: float | None = 0.0
+
+    def __post_init__(self):
+        # exactly symmetric pieces, as solution_network and delta (eigvalsh
+        # reads one triangle) need; a non-square piece is left for the shape check
+        sym = tuple(
+            (t + t.T) / 2 if t.shape == t.T.shape else t for t in map(np.asarray, self.theta)
+        )
+        object.__setattr__(self, "theta", sym)
 
     @property
     def p(self):
@@ -463,7 +472,8 @@ def build_reduced_basis(sys, snapshot_params, drop_tol=1e-8):
             "every snapshot fell below drop_tol; no basis vector survives"
         )
     V = np.ascontiguousarray(V[:, :d])
-    theta = (V.T @ (sys.B0 @ V),) + tuple(V.T @ (Bi @ V) for Bi in sys.Bs)
+    # einsum, unlike a threaded GEMM, sums in an order free of the thread count
+    theta = tuple(np.einsum("ki,kj->ij", V, B @ V) for B in (sys.B0, *sys.Bs))
     return ReducedBasis(
         V=V,
         theta=theta,
@@ -522,26 +532,6 @@ def contraction_network(rb):
     return concat(flip, b_network(rb))
 
 
-def inv_b_network(rb, epsilon):
-    """Network mapping y to approximately vec((B^rb_y)^{-1}).
-
-    Feeds the exact contraction network into the Neumann inversion
-    network and rescales by lam: lam times the partial sum for
-    I - lam B^rb_y approximates (B^rb_y)^{-1}, so the inversion stage runs
-    at tolerance epsilon/lam and the certified margin rb.delta, which
-    bounds the spectral error of the composite by epsilon uniformly over
-    the box.
-    """
-    if not (np.isfinite(epsilon) and 0.0 < epsilon < 1.0):
-        raise InvalidArgument(f"epsilon must lie in (0, 1), got {epsilon}")
-    # The inversion stage needs its tolerance in (0, 1); the 0.9 clamp only
-    # ever lowers it, so the composite error stays below epsilon.
-    inv = inversion_network(rb.d, min(epsilon / rb.lam, 0.9), rb.delta)
-    core = sparse_concat(inv, contraction_network(rb))
-    head = affine_network(rb.lam * sp.identity(rb.d * rb.d, format="csr"))
-    return concat(head, core)
-
-
 # Share of epsilon that solution_network keeps back for the rounding of the
 # evaluation in floating point; the truncated Neumann series gets the rest.
 _ROUNDING_SHARE = 0.1
@@ -550,16 +540,17 @@ _ROUNDING_SHARE = 0.1
 def solution_network(rb, epsilon, C_f):
     """End-to-end solution-map networks (reduced and high-fidelity).
 
-    The reduced variant applies the exact linear map
-    vec(M) -> M f_rb = (f_rb^T kron I_d) vec(M) to the approximate inverse,
-    fused into its last layer; the high-fidelity variant lifts it through
-    V.  The epsilon ledger: the operator and load layers are exact, so the
-    inverse is built to spectral error (1 - _ROUNDING_SHARE) epsilon / C_f,
-    i.e. the Neumann series runs at tolerance 0.9 epsilon/(lam C_f) at the
-    certified margin rb.delta, and the remaining 0.1 epsilon is held back
-    for rounding.  The reduced output thus stays within 0.9 epsilon of
-    reduced_solve (Euclidean) in exact arithmetic, and the lifted output
-    within 0.9 epsilon in the G-norm by G-orthonormality of V.
+    rb_net is the Neumann chain on the contraction R_y = I - lam B^rb_y with
+    X = lam f_rb^T: it computes lam f_rb^T P(R_y), P(R) = sum_{k<2^l} R^k,
+    which is lam P(R_y) f_rb as ReducedBasis keeps R_y exactly symmetric,
+    the truncated Neumann series for B_y^-1 applied to the constant load.
+    h_net lifts it through V.  The epsilon ledger: the operator layer is
+    exact, so the series runs at tolerance 0.9 epsilon/(lam C_f) at the
+    certified margin rb.delta, and the other 0.1 epsilon (_ROUNDING_SHARE)
+    is held back for rounding.  The reduced output thus stays within
+    0.9 epsilon of reduced_solve (Euclidean) in exact arithmetic, and the
+    lifted output within 0.9 epsilon in the G-norm by G-orthonormality of
+    V.  rb_net has depth 2l + 1 (2 at l = 1), h_net one more.
 
     h_net._layers[:-2] are the very stored layers of rb_net._layers[:-1],
     so solution_errors evaluates that shared prefix once for both.
@@ -571,11 +562,14 @@ def solution_network(rb, epsilon, C_f):
         raise InvalidArgument(
             f"C_f must be positive and at least |f_rb| = {f_norm:.6g}, got {C_f}"
         )
-    # |M f_rb - B^-1 f_rb| <= |M - B^-1|_2 C_f; the clamp keeps the
-    # argument in (0, 1) and only ever lowers it.
-    eps_inverse = min((1.0 - _ROUNDING_SHARE) * epsilon / C_f, 0.9)
-    load = affine_network(sp.kron(rb.f_rb[None, :], sp.eye(rb.d), format="csr"))
-    rb_net = concat(load, inv_b_network(rb, eps_inverse))
+    # |lam P f_rb - B^-1 f_rb| <= lam |P - (I - R)^-1|_2 C_f <= lam tol C_f;
+    # the clamp keeps tol in (0, 1) and only ever lowers it.
+    tol = min((1.0 - _ROUNDING_SHARE) * epsilon / C_f / rb.lam, 0.9)
+    l = neumann_length(tol, rb.delta).l
+    X = rb.lam * rb.f_rb[None, :]
+    # vec(X (R + I)) = (I_d kron X) vec R + vec X
+    first = affine_network(sp.kron(sp.eye(rb.d), X, format="csr"), vec(X))
+    rb_net = sparse_concat(_neumann_chain(rb.d, l, first), contraction_network(rb))
     h_net = sparse_concat(affine_network(sp.csr_matrix(rb.V)), rb_net)
     return rb_net, h_net
 

@@ -4,6 +4,7 @@ output files, exit codes, and byte-level determinism."""
 import ast
 import csv
 import json
+import os
 import subprocess
 import sys
 
@@ -334,6 +335,26 @@ def test_pde_csv_replaces_only_the_file_extension(tmp_path, monkeypatch, out, cs
     assert main(PDE_SMALL + ["--out", out]) == 0
     written = sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*") if p.is_file())
     assert written == sorted([str(tmp_path.joinpath(out).relative_to(tmp_path)), csv_name])
+
+
+def test_pde_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """The README pde run (4 test parameters instead of 100) writes the same
+    JSON and CSV bytes at one and at two BLAS threads: at d = 32 a threaded
+    GEMM for the reduced pieces would change their last bits."""
+    readme = [
+        "pde", "--grid", "33", "--chessboard", "3", "--mu", "0.1",
+        "--snapshots", "200", "--drop-tol", "2e-2", "--eps", "1e-3",
+        "--test", "4", "--seed", "20260815",
+    ]
+    written = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads / "pde.json"
+        out.parent.mkdir()
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run(CLI + readme + ["--out", str(out)], capture_output=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        written.append((out.read_bytes(), out.with_suffix(".csv").read_bytes()))
+    assert written[0] == written[1]
 
 
 # ------------------------------------------------------------- determinism

@@ -398,6 +398,42 @@ def test_inversion_weight_exact_linear_in_l():
             assert rep.depth == 2 * l + 1
 
 
+def _first(X):
+    """The affine layer vec A -> vec(X (A + I)) for an n x d X."""
+    return affine_network(sp.kron(sp.eye(X.shape[1]), X, format="csr"), vec(X))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_neumann_chain_matches_the_partial_sum(n):
+    """The chain computes X P(A), P the partial sum by direct accumulation,
+    for an n x d X: n = d reuses the squaring's product as the carry."""
+    d, local = 3, np.random.default_rng(4102)
+    X = local.standard_normal((n, d))
+    for l in (1, 2, 4):
+        net = matrixnets._neumann_chain(d, l, _first(X))
+        assert net.depth == (1 if l == 1 else 2 * l)
+        A = local.standard_normal((d, d))
+        A *= 0.7 / np.linalg.norm(A, 2)
+        want = X @ neumann_partial_sum_oracle(A, l)
+        np.testing.assert_allclose(matr(realize(net, vec(A)), n, d), want, rtol=1e-12, atol=1e-13)
+
+
+def test_neumann_chain_nnz_exact():
+    """For a dense 1 x d X: (48l - 72)d^3 + (52l - 60)d^2 + (54 - 16l)d
+    nonzeros for l >= 2 and d^2 + d at l = 1, against the inversion's
+    (96l - 120)d^3 leading term.  An entry X_j = 1 zeroes the bias X_j - 1
+    of its gadget unit, so X = (1, ..., d) counts 2 fewer for l >= 2."""
+    local = np.random.default_rng(4103)
+    for d in range(1, 7):
+        X = local.uniform(2.0, 3.0, (1, d))
+        ramp = np.arange(1.0, d + 1)[None]
+        for l in range(1, 6):
+            want = d * d + d if l == 1 else (48 * l - 72) * d**3 + (52 * l - 60) * d**2 + (54 - 16 * l) * d
+            assert complexity(matrixnets._neumann_chain(d, l, _first(X))).total_nnz == want
+            fewer = 0 if l == 1 else 2
+            assert complexity(matrixnets._neumann_chain(d, l, _first(ramp))).total_nnz == want - fewer
+
+
 def test_inversion_rejects_bad_dim():
     with pytest.raises(InvalidArgument):
         inversion_network(0, 1e-2, 0.5)

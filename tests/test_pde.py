@@ -29,10 +29,10 @@ from requnet import (
     complexity,
     contraction_network,
     evaluate_error,
-    inv_b_network,
     load_reduced_network,
     matr,
     neumann_length,
+    neumann_partial_sum_oracle,
     realize,
     realize_batch,
     reduced_solve,
@@ -520,6 +520,31 @@ def test_margin_certified_from_the_pieces_not_assumed(rb9):
         solution_network(singular, 1e-3, 1.01 * np.linalg.norm(rb9.f_rb))
 
 
+def test_theta_is_exactly_symmetric(tmp_path, rb9):
+    """ReducedBasis keeps each piece's symmetric part, so the reduced
+    operator is exactly symmetric however the basis was made: built, loaded
+    from a document whose theta is asymmetric in its last bit, or replaced;
+    a piece that is already symmetric is kept bit for bit."""
+
+    def symmetric(rb):
+        return all(np.array_equal(t, t.T) for t in rb.theta)
+
+    assert symmetric(rb9)
+    kept = dataclasses.replace(rb9)
+    assert all(np.array_equal(a, b) for a, b in zip(kept.theta, rb9.theta))
+    path = tmp_path / "rb.json"
+    save_reduced_network(path, affine_network(sp.csr_matrix((rb9.d, rb9.p)), rb9.f_rb), rb9)
+    doc = json.loads(path.read_text())
+    t = np.array(doc["reduced_basis"]["theta"][1])
+    t[0, 1] = np.nextafter(t[0, 1], np.inf)
+    doc["reduced_basis"]["theta"][1] = t.tolist()
+    path.write_text(json.dumps(doc))
+    _, loaded = load_reduced_network(path)
+    assert symmetric(loaded)
+    assert loaded.theta[1][0, 1] == loaded.theta[1][1, 0] == (t[0, 1] + t[1, 0]) / 2
+    assert symmetric(dataclasses.replace(rb9, theta=(rb9.theta[0], t, *rb9.theta[2:])))
+
+
 # ------------------------------------------------- parameter-to-operator nets
 
 
@@ -582,47 +607,65 @@ def test_contraction_network_matches_and_contracts(rb9):
         want = np.eye(rb9.d) - rb9.lam * reduced_operator(rb9, y)
         got = matr(realize(net, y), rb9.d, rb9.d)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
-        # margin delta/2 used by the inversion stage holds a fortiori
-        assert np.linalg.norm(got, 2) <= 1.0 - rb9.delta / 2.0
+        assert np.linalg.norm(got, 2) <= 1.0 - rb9.delta + _rounding(rb9)
 
 
-# -------------------------------------------------------------- inv_b_network
+# ------------------------------------------------------------------- rb_net
 
 
-def test_inv_b_scalar_geometric_series():
+def _series_length(rb, eps, C_f):
+    """The Neumann length solution_network picks at (eps, C_f)."""
+    return neumann_length(min(0.9 * eps / C_f / rb.lam, 0.9), rb.delta).l
+
+
+def test_rb_net_scalar_geometric_series():
     # s = 1 with one snapshot: the reduced operator is exactly mu + y, so
-    # the network must track lam * sum_k (1 - lam (mu + y))^k = 1/(mu + y)
+    # rb_net must compute lam f_rb sum_k (1 - lam (mu + y))^k ~ f_rb/(mu + y)
     sys = assemble_affine_system(5, 1, 0.5)
     rb = build_reduced_basis(sys, np.array([[0.3]]))
     np.testing.assert_allclose(rb.theta[0], [[0.5]], rtol=1e-12)
     np.testing.assert_allclose(rb.theta[1], [[1.0]], rtol=1e-12)
-    eps = 1e-4
-    net = inv_b_network(rb, eps)
-    l = neumann_length(min(eps / rb.lam, 0.9), rb.delta).l
+    eps, C_f = 1e-4, 1.01 * abs(rb.f_rb[0])
+    rb_net, _ = solution_network(rb, eps, C_f)
+    l = _series_length(rb, eps, C_f)
     for y in np.linspace(0.0, 1.0, 100):
-        got = realize(net, [y])[0]
-        assert abs(got - 1.0 / (0.5 + y)) <= eps * (1 + 1e-9)
-        series = rb.lam * sum((1 - rb.lam * (0.5 + y)) ** k for k in range(2**l))
+        got = realize(rb_net, [y])[0]
+        assert abs(got - rb.f_rb[0] / (0.5 + y)) <= 0.9 * eps
+        series = rb.lam * rb.f_rb[0] * sum((1 - rb.lam * (0.5 + y)) ** k for k in range(2**l))
         np.testing.assert_allclose(got, series, rtol=1e-10)
 
 
-def test_inv_b_depth_and_error_budget(rb9):
-    eps = 1e-3
-    net = inv_b_network(rb9, eps)
-    l = neumann_length(min(eps / rb9.lam, 0.9), rb9.delta).l
-    assert complexity(net).depth == 2 * l + 2
+def test_rb_net_depth_and_error_budget(rb9):
+    """rb_net has depth 2l + 1 and stays within the truncated tail
+    lam (1 - delta)^(2^l)/delta |f_rb| of B_y^-1 f_rb, which the length
+    rule keeps below 0.9 eps."""
+    eps, C_f = 1e-3, 1.01 * np.linalg.norm(rb9.f_rb)
+    rb_net, _ = solution_network(rb9, eps, C_f)
+    l = _series_length(rb9, eps, C_f)
+    assert complexity(rb_net).depth == 2 * l + 1
+    tail = rb9.lam * (1 - rb9.delta) ** (2**l) / rb9.delta * np.linalg.norm(rb9.f_rb)
+    assert tail <= 0.9 * eps
     rng = np.random.default_rng(91)
     for _ in range(10):
         y = rng.uniform(0, 1, 4)
-        got = matr(realize(net, y), rb9.d, rb9.d)
-        want = np.linalg.inv(reduced_operator(rb9, y))
-        assert np.linalg.norm(got - want, 2) <= eps * (1 + 1e-9)
+        want = np.linalg.solve(reduced_operator(rb9, y), rb9.f_rb)
+        assert np.linalg.norm(realize(rb_net, y) - want) <= tail * (1 + 1e-9)
 
 
-def test_inv_b_rejects_bad_epsilon(rb9):
-    for eps in [0.0, 1.0, -0.5, np.nan]:
-        with pytest.raises(InvalidArgument):
-            inv_b_network(rb9, eps)
+def test_rb_net_matches_the_neumann_oracle(rb9):
+    """rb_net computes lam P(R_y) f_rb, P the Neumann partial sum of the
+    contraction R_y by direct accumulation; every stage's depth is pinned."""
+    eps, C_f = 1e-3, 1.01 * np.linalg.norm(rb9.f_rb)
+    rb_net, h_net = solution_network(rb9, eps, C_f)
+    l = _series_length(rb9, eps, C_f)
+    depths = [net.depth for net in (contraction_network(rb9), rb_net, h_net)]
+    assert depths == [1, 2 * l + 1, 2 * l + 2]
+    rng = np.random.default_rng(75)
+    for _ in range(10):
+        y = rng.uniform(0, 1, 4)
+        R = np.eye(rb9.d) - rb9.lam * reduced_operator(rb9, y)
+        want = rb9.lam * neumann_partial_sum_oracle(R, l) @ rb9.f_rb
+        np.testing.assert_allclose(realize(rb_net, y), want, rtol=1e-12)
 
 
 # ----------------------------------------------------------- solution_network
@@ -650,26 +693,8 @@ def test_solution_network_depth_relation(rb9):
     rb_net, h_net = solution_network(rb9, eps, C_f)
     eps_inverse = min(0.9 * eps / C_f, 0.9)
     l = neumann_length(min(eps_inverse / rb9.lam, 0.9), rb9.delta).l
-    assert complexity(rb_net).depth == 2 * l + 2
+    assert complexity(rb_net).depth == 2 * l + 1
     assert complexity(h_net).depth == complexity(rb_net).depth + 1
-
-
-def test_load_layer_is_linear_in_the_inverse(rb9):
-    """rb_net is inv_b_network followed by the exact linear map
-    vec(M) -> M f_rb; every stage's depth is pinned."""
-    eps = 1e-3
-    C_f = 1.01 * np.linalg.norm(rb9.f_rb)
-    rb_net, h_net = solution_network(rb9, eps, C_f)
-    eps_inverse = min(0.9 * eps / C_f, 0.9)
-    inv = inv_b_network(rb9, eps_inverse)
-    l = neumann_length(min(eps_inverse / rb9.lam, 0.9), rb9.delta).l
-    depths = [net.depth for net in (contraction_network(rb9), inv, rb_net, h_net)]
-    assert depths == [1, 2 * l + 2, 2 * l + 2, 2 * l + 3]
-    rng = np.random.default_rng(75)
-    for _ in range(10):
-        y = rng.uniform(0, 1, 4)
-        want = matr(realize(inv, y), rb9.d, rb9.d) @ rb9.f_rb
-        np.testing.assert_allclose(realize(rb_net, y), want, rtol=1e-12)
 
 
 def test_solution_network_shares_prefix(rb9):
@@ -705,8 +730,9 @@ def test_solution_network_validates_args(rb9):
         solution_network(rb9, 1e-3, 0.5 * f_norm)
     with pytest.raises(InvalidArgument):
         solution_network(rb9, 1e-3, 0.0)
-    with pytest.raises(InvalidArgument):
-        solution_network(rb9, 1.5, 2 * f_norm)
+    for eps in [1.5, 0.0, 1.0, -0.5, np.nan]:
+        with pytest.raises(InvalidArgument):
+            solution_network(rb9, eps, 2 * f_norm)
 
 
 # ------------------------------------------------------------- evaluate_error
@@ -1065,6 +1091,7 @@ def _poisoned(a, value):
         lambda rb: dict(V=rb.V[:, :, None]),
         lambda rb: dict(theta=rb.theta[:1]),
         lambda rb: dict(theta=tuple(t[:3, :3] for t in rb.theta)),
+        lambda rb: dict(theta=tuple(t[:1] for t in rb.theta)),  # t + t^T would broadcast to d x d
         lambda rb: dict(f_rb=rb.f_rb[:-1]),
         lambda rb: dict(theta=rb.theta[:2]),
         lambda rb: dict(V=rb.V[:-1]),
@@ -1082,8 +1109,8 @@ def _poisoned(a, value):
         lambda rb: dict(beta=-rb.beta),
     ],
     ids=[
-        "V-3d", "theta-one-entry", "theta-3x3", "f_rb-short", "p-mismatch", "V-one-row-fewer",
-        "V-nan", "theta-inf", "f_rb-minus-inf", "alpha-nan", "beta-inf", "truncation_sup-nan",
+        "V-3d", "theta-one-entry", "theta-3x3", "theta-one-row", "f_rb-short", "p-mismatch",
+        "V-one-row-fewer", "V-nan", "theta-inf", "f_rb-minus-inf", "alpha-nan", "beta-inf", "truncation_sup-nan",
         "truncation_sup-inf", "alpha-plus-beta-zero", "alpha-tiny-beta-zero", "beta-equals-alpha",
         "beta-above-alpha", "beta-negative",
     ],

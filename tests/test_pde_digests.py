@@ -13,8 +13,8 @@ PDE_GRID9 = [
 ]
 
 DIGESTS = {
-    "pde.json": "9f064b06ec378db44e6f0c61b699a1e331522f24b0709bdfac21e2470318c67b",
-    "pde.csv": "847395a3f366e9ce1dcbeb287af5122368fe50ee80166a2c5fa0f876bed1d34e",
+    "pde.json": "c17cb9d23a41415ed93184c959168acba9559852f9a94f1b7ddd1b933dcd7667",
+    "pde.csv": "b3f4545d9c41efc7957080eebcdd21f9296b6e70234ae2e5e657022dbc36be8a",
 }
 
 
