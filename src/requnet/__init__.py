@@ -47,6 +47,7 @@ from .calculus import (
     sparse_concat,
 )
 from .matrixnets import (
+    ChebyshevPlan,
     NeumannPlan,
     inversion_network,
     matr,
@@ -72,6 +73,7 @@ from .pde import (
     load_reduced_network,
     reduced_solve,
     save_reduced_network,
+    series_plan,
     solution_errors,
     solution_network,
     solve_high_fidelity,

@@ -47,6 +47,7 @@ from .network import complexity, make_network, realize, save_network
 from .pde import (
     assemble_affine_system,
     build_reduced_basis,
+    series_plan,
     solution_errors,
     solution_network,
     write_error_csv,
@@ -429,6 +430,7 @@ def cmd_pde(args):
         "eps": args.eps,
         "worst_euclid": float(err_euclid.max()),
         "worst_g": float(err_g.max()),
+        "l": series_plan(rb, args.eps, C_f).l,
         "depth": h_net.depth,
         "nnz": complexity(h_net).total_nnz,
     }

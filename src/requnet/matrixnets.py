@@ -1,5 +1,5 @@
-"""Networks that perform exact matrix arithmetic, and the Neumann-series
-approximate inverse built from them.
+"""Networks that perform exact matrix arithmetic, and the doubling
+chains that approximate inverses with them.
 
 Matrices enter and leave networks flattened column-major (vec / matr).
 One application of the 4-unit product gadget computes x*y exactly, so a
@@ -12,11 +12,20 @@ follow by composition.  For ||A||_2 <= 1 - delta the partial sum is within
 (1-delta)^(2^l)/delta of (I - A)^{-1}, which the length rule neumann_length
 drives below a requested epsilon.
 
-One Neumann chain evaluates X times the product for a constant n x d X:
-it carries (X P_k, Q_k) = (X prod_{i<k} (A^(2^i) + I), A^(2^k)) through l
-stages, each a product beside a squaring, so the count is linear in l.
-The inversion network takes X = I, (96l - 120)d^3 + O(l d^2) nonzeros at
-depth 2l + 1; the pde solution map a row, (48l - 72)d^3 + O(l d^2).
+One chain evaluates X times such a product for a constant n x d X: it
+carries (W_k, Q_k) through l stages, each a product beside a squaring, so
+the count is linear in l.  With stage scalars c_k it is the doubling
+
+    Q_0 = A,  Q_{k+1} = c_k Q_k^2 - (c_k - 1) I,  W_{k+1} = c_k W_k (Q_k + I),
+
+and I - Q_{k+1} = c_k (I - Q_k^2) gives W_l = X (I - Q_l)(I - A)^{-1}.
+All c_k = 1 is the Neumann product (Q_k = A^(2^k)): the inversion network
+takes it at X = I, (96l - 120)d^3 + O(l d^2) nonzeros at depth 2l + 1.
+For a symmetric A the scalars of _chebyshev_plan make Q_l a scaled
+Chebyshev polynomial of degree 2^l (Golub & Varga 1961), which needs
+l ~ log2(log(1/epsilon)/sqrt(delta)) stages instead of
+log2(log(1/epsilon)/delta); the pde solution map runs it at a row X,
+(48l - 72)d^3 + O(l d^2) nonzeros.
 """
 
 from __future__ import annotations
@@ -48,6 +57,7 @@ __all__ = [
     "square_network",
     "power_network",
     "NeumannPlan",
+    "ChebyshevPlan",
     "neumann_length",
     "inversion_network",
     "neumann_partial_sum_oracle",
@@ -105,10 +115,16 @@ def mult_network(d, n, l):
     return Network._trusted([hidden, out])
 
 
+def _copies(cols, width):
+    """0/1 CSR matrix whose row i reads input cols[i], from its arrays."""
+    rows = len(cols)
+    ptr = np.arange(rows + 1, dtype=np.int32)
+    return sp.csr_matrix((np.ones(rows), cols.astype(np.int32), ptr), shape=(rows, width))
+
+
 def _duplicator(n):
     """Affine layer x -> (x; x)."""
-    eye = sp.eye(n, format="csr")
-    return affine_network(sp.vstack([eye, eye], format="csr"), np.zeros(2 * n))
+    return affine_network(_copies(np.tile(np.arange(n), 2), n), np.zeros(2 * n))
 
 
 def square_network(d):
@@ -137,17 +153,85 @@ class NeumannPlan:
     l: int
 
 
-def neumann_length(epsilon, delta):
-    """Closed-form partial-sum length; epsilon, delta must lie in (0, 1)."""
+@dataclass(frozen=True)
+class ChebyshevPlan:
+    """Stage scalars of the doubling chain for a symmetric A with spectrum
+    in [-(1-delta), 1-delta]: c holds the stored c_k, k < l, and bound a
+    certified r_l >= ||Q_l||_2, with bound/delta <= epsilon."""
+
+    epsilon: float
+    delta: float
+    l: int
+    c: tuple
+    bound: float
+
+
+def _check_plan_args(epsilon, delta):
+    """The domain both length rules share."""
     if not (0.0 < epsilon < 1.0):
         raise InvalidArgument(f"epsilon must be in (0,1), got {epsilon}")
     if not (0.0 < delta < 1.0):
         raise InvalidArgument(f"delta must be in (0,1), got {delta}")
-    if 1.0 - delta == 1.0 or delta * epsilon == 0.0:  # log would be 0 or -inf
+    if 1.0 - delta == 1.0 or delta * epsilon == 0.0:  # no margin or no tolerance left
         raise InvalidArgument(f"delta {delta!r} is too small for double precision")
+
+
+def neumann_length(epsilon, delta):
+    """Closed-form partial-sum length; epsilon, delta must lie in (0, 1)."""
+    _check_plan_args(epsilon, delta)
     terms = math.log(delta * epsilon) / math.log(1.0 - delta)
     l = math.ceil(math.log2(terms + 1.0))
     return NeumannPlan(epsilon=float(epsilon), delta=float(delta), l=int(l))
+
+
+def _round_up(num, den):
+    """The least double >= num/den, for integers num >= 0 and den > 0."""
+    x = num / den  # correctly rounded
+    n, m = x.as_integer_ratio()
+    return x if n * den >= num * m else math.nextafter(x, math.inf)
+
+
+def _next_bound(c, r):
+    """max(c - 1, c r^2 - (c - 1)), rounded up: a bound on ||c Q^2 - (c-1) I||_2
+    for a symmetric Q with ||Q||_2 <= r and c >= 1, as c Q^2 - (c-1) I has its
+    spectrum in [-(c - 1), c r^2 - (c - 1)].  Evaluated exactly in integers."""
+    (cn, cd), (rn, rd) = c.as_integer_ratio(), r.as_integer_ratio()
+    low = (cn - cd) * rd * rd  # c - 1 over the denominator cd rd^2
+    return _round_up(max(low, cn * rn * rn - low), cd * rd * rd)
+
+
+def _chebyshev_plan(epsilon, delta):
+    """The shortest doubling chain certified to epsilon at margin delta.
+
+    From r_0 = 1 - delta, rounded up, stage k stores c_k = 2/(2 - r_k^2)
+    in [1, 2] and r_{k+1} = _next_bound(c_k, r_k), computed for the stored
+    float c_k, so the certificate covers the weights the network holds; in
+    exact arithmetic r_l = 1/T_{2^l}(1/(1 - delta)).  The output's error
+    (I - A)^{-1} Q_l is then at most r_l/delta, and l is the smallest with
+    r_l/delta <= epsilon.  At l = 1 the chain is its affine first layer,
+    with no dyadic weight to carry c_0 exactly, so that plan stores
+    c_0 = 1: the Neumann factor, r_1 = r_0^2.
+    """
+    _check_plan_args(epsilon, delta)
+    epsilon, delta = float(epsilon), float(delta)
+    (en, ed), (dn, dd) = epsilon.as_integer_ratio(), delta.as_integer_ratio()
+
+    def certified(r):  # r <= epsilon * delta, exactly
+        rn, rd = r.as_integer_ratio()
+        return rn * ed * dd <= en * dn * rd
+
+    r = _round_up(dd - dn, dd)
+    if certified(_next_bound(1.0, r)):
+        return ChebyshevPlan(epsilon, delta, 1, (1.0,), _next_bound(1.0, r))
+    c = []
+    while len(c) < 2 or not certified(r):
+        c.append(2.0 / (2.0 - r * r))
+        r, prev = _next_bound(c[-1], r), r
+        if r >= prev:  # rounding stalls the bound above epsilon * delta
+            raise InvalidArgument(
+                f"epsilon {epsilon!r} at delta {delta!r} is too small for double precision"
+            )
+    return ChebyshevPlan(epsilon, delta, len(c), tuple(c), r)
 
 
 def _inversion_nnz_exact(d, l):
@@ -164,45 +248,94 @@ def _inversion_nnz_bound(d, l):
     return (32 * l * l + 60 * l - 80) * d**3 + (40 * l * l - 44 * l - 112) * d**2
 
 
-def _shift_by_identity(d):
-    """Affine layer vec M -> vec(M + I)."""
-    dd = d * d
-    return affine_network(sp.eye(dd, format="csr"), vec(np.eye(d)))
+def _carry_start(d, X):
+    """Affine layer vec A -> vec(X (A + I)) = (I_d kron X) vec A + vec X for
+    an n x d X, the block diagonal built from X's nonzeros."""
+    n = X.shape[0]
+    i, k = np.nonzero(X)  # row by row, columns ascending
+    ptr = np.concatenate(([0], np.cumsum(np.tile(np.bincount(i, minlength=n), d))))
+    cols = k + d * np.arange(d)[:, None]
+    A = sp.csr_matrix(
+        (np.tile(X[i, k], d), cols.ravel().astype(np.int32), ptr.astype(np.int32)),
+        shape=(n * d, d * d),
+    )
+    return affine_network(A, vec(X))
 
 
 def _split(n, d, keep_q):
     """Affine layer (vec W, vec Q) -> (vec W, vec(Q + I)), W n x d and Q
     d x d, followed by a second copy of vec Q when keep_q."""
     nd, dd = n * d, d * d
-    rows = [sp.eye(nd + dd, format="csr")]
+    cols = np.arange(nd + dd)
     if keep_q:
-        rows.append(sp.eye(dd, nd + dd, k=nd, format="csr"))
-    A = sp.vstack(rows, format="csr")
-    b = np.zeros(A.shape[0])
+        cols = np.concatenate([cols, cols[nd:]])
+    b = np.zeros(len(cols))
     b[nd : nd + dd] = vec(np.eye(d))
-    return affine_network(A, b)
+    return affine_network(_copies(cols, nd + dd), b)
 
 
-def _neumann_chain(d, l, first):
-    """Network vec A -> vec(X prod_{i<l} (A^(2^i) + I)) for A d x d, given
-    the affine network first: vec A -> vec(X (A + I)), X constant n x d.
+def _scaled(layer, c):
+    """A stored layer with its weights times a finite c: the layer's checked
+    pattern and bias with finite entries, frozen without _seal's scans."""
+    A, b, tag = layer
+    scaled = sp.csr_matrix((A.data * c, A.indices, A.indptr), shape=A.shape)
+    scaled.has_canonical_format = True
+    scaled.data.setflags(write=False)
+    return scaled, b, tag
 
-    first itself at l = 1; else l depth-2 stages carrying
-    (vec X P_k, vec Q_k), P_k = prod_{i<k} (A^(2^i) + I) and Q_k = A^(2^k):
-    the product of X P_k by Q_k + I beside square_network on Q_k, the last
-    without the squaring.  One product network (the squaring's when n = d),
-    squaring and duplicator are built per call and shared by all stages.
+
+def _neumann_chain(d, c, X):
+    """Network vec A -> vec W_l for A d x d, a constant n x d X and stage
+    scalars c = (c_0, ..., c_{l-1}): W_0 = X, Q_0 = A and
+
+        W_{k+1} = c_k W_k (Q_k + I),  Q_{k+1} = c_k Q_k^2 - (c_k - 1) I,
+
+    so W_l = X (I - Q_l)(I - A)^{-1}; all c_k = 1 gives X prod_{k<l} (A^(2^k) + I).
+
+    The affine first layer vec A -> vec(X (A + I)) itself at l = 1, where
+    c_0 must be 1; else l depth-2 stages, each the product of its row by
+    Q + I beside the squaring of Q, the last without the squaring, built
+    and joined once at all c_k = 1.  Stage k emits the raw pair
+    (U, S) = (W_k (Q_k + I), Q_k^2), and stage k + 1 must read it as
+    (c_k U, c_k S + (2 - c_k) I, c_k S + (1 - c_k) I), that is
+    (W_{k+1}, Q_{k+1} + I, Q_{k+1}).  The gadget layer that extends stage k
+    carries c_k in its weights, as the identity gadget passes on c_k times
+    its input; the join after it keeps the unit weights, and its bias
+    becomes (2 - c_k) g + (1 - c_k) h, g the unit bias (the I of Q + I)
+    and h what the stages' first layer makes of an I in the Q copy.  The
+    last readout carries c_{l-1}.  The gadget and readout weights are
+    +-1/4, g's entries 0 and +-1 and h's 0, +-1 and 2 on other rows, so
+    every scaled weight and bias is exact.  One product network (the
+    squaring's when n = d), squaring and duplicator are built per call and
+    shared by all stages.
     """
+    l, first = len(c), _carry_start(d, X)
     if l == 1:
+        if c[0] != 1.0:
+            raise InvalidArgument("a one-stage chain has no weight to carry c_0")
         return first
-    n = first.output_dim // d
+    n = X.shape[0]
     mult, duplicate = mult_network(d, d, d), _duplicator(d * d)
     carry = mult if n == d else mult_network(n, d, d)
     square = concat(mult, duplicate)  # square_network(d) from the shared parts
+    both = parallelize([carry, square])
     start = concat(parallelize([first, square]), duplicate)
-    stage = concat(parallelize([carry, square]), _split(n, d, keep_q=True))
+    stage = concat(both, _split(n, d, keep_q=True))
     last = concat(carry, _split(n, d, keep_q=False))
-    return _sparse_chain([start] + [stage] * (l - 2) + [last])
+    chain = _sparse_chain([start] + [stage] * (l - 2) + [last])
+    if all(ck == 1.0 for ck in c):
+        return chain
+    layers = list(chain._layers)
+    h = both._layers[0][0] @ np.concatenate([np.zeros(n * d + d * d), vec(np.eye(d))])
+    for k, ck in enumerate(c[:-1]):  # layer 2k + 1 extends stage k, layer 2k + 2 joins
+        if ck != 1.0:
+            J, g, tag = layers[2 * k + 2]
+            bias = (2.0 - ck) * g + ((1.0 - ck) * h if k < l - 2 else 0.0)
+            bias.setflags(write=False)
+            layers[2 * k + 1], layers[2 * k + 2] = _scaled(layers[2 * k + 1], ck), (J, bias, tag)
+    if c[-1] != 1.0:
+        layers[-1] = _scaled(layers[-1], c[-1])
+    return Network._trusted(layers)
 
 
 def inversion_network(d, epsilon, delta):
@@ -211,15 +344,15 @@ def inversion_network(d, epsilon, delta):
     Computes the exact partial sum sum_{k < 2^l} A^k in factored form
     prod_i (A^(2^i) + I), with l = neumann_length(epsilon, delta).l, so for
     every A with ||A||_2 <= 1 - delta the spectral-norm error is at most
-    (1-delta)^(2^l)/delta <= epsilon.  The Neumann chain at X = I, padded to
-    depth exactly 2l + 1; nonzeros, exactly (_inversion_nnz_exact):
+    (1-delta)^(2^l)/delta <= epsilon.  The chain at X = I and all c_k = 1,
+    padded to depth exactly 2l + 1; nonzeros, exactly (_inversion_nnz_exact):
     (96l - 120)d^3 + (12l + 20)d^2 + (40 - 24l)d for l >= 2, 32d^2 - 2d
     for l = 1.
     """
     if not _is_size(d):
         raise InvalidArgument(f"need an integer d >= 1, got {d!r}")
     l = neumann_length(epsilon, delta).l
-    return extend(_neumann_chain(d, l, _shift_by_identity(d)), 2 * l + 1)
+    return extend(_neumann_chain(d, (1.0,) * l, np.eye(d)), 2 * l + 1)
 
 
 def neumann_partial_sum_oracle(A, l):

@@ -15,17 +15,17 @@ takes the snapshot whose G-norm residual against the current basis is
 largest, until every residual is below drop_tol times the largest
 snapshot norm.
 
-The network side is affine -> Neumann chain: one exact layer for the
-contraction y -> vec(I - lam * B^rb_y) with the optimal Richardson scaling
-lam = 2/(alpha + beta), then the Neumann chain of matrixnets carrying the
-row lam f_rb^T times the partial product of the series, so the load rides
-in the chain's state and no inverse matrix is formed.  The epsilon ledger
-has two entries: the operator layer is exact, so the truncated Neumann
-series gets (1 - _ROUNDING_SHARE) epsilon = 0.9 epsilon, and the rest is
-held back for the rounding of the evaluation in floating point.
-The series runs at the margin delta that ReducedBasis certifies from its
-own pieces, so the end-to-end error against the reduced solve stays below
-0.9 epsilon in exact arithmetic.
+The network side is affine -> doubling chain: one exact layer for the
+contraction R_y = I - lam * B^rb_y with the optimal Richardson scaling
+lam = 2/(alpha + beta), then the chain of matrixnets carrying the row
+lam f_rb^T through the Chebyshev semi-iteration on the symmetric R_y, so
+the load rides in the chain's state and no inverse matrix is formed.  The
+epsilon ledger has two entries: the operator layer is exact, so the
+truncated iteration gets (1 - _ROUNDING_SHARE) epsilon = 0.9 epsilon, and
+the rest is held back for the rounding of the evaluation in floating
+point.  The iteration runs at the margin delta that ReducedBasis
+certifies from its own pieces, so the end-to-end error against the
+reduced solve stays below 0.9 epsilon in exact arithmetic.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from .errors import (
     InvalidArgument,
     SingularSystem,
 )
-from .matrixnets import _neumann_chain, neumann_length, vec
+from .matrixnets import _chebyshev_plan, _neumann_chain, vec
 from .network import _evaluate, _is_size, _network_doc, _network_from_doc, _read_doc, realize_batch
 
 __all__ = [
@@ -59,6 +59,7 @@ __all__ = [
     "reduced_solve",
     "b_network",
     "contraction_network",
+    "series_plan",
     "solution_network",
     "evaluate_error",
     "solution_errors",
@@ -533,19 +534,43 @@ def contraction_network(rb):
 
 
 # Share of epsilon that solution_network keeps back for the rounding of the
-# evaluation in floating point; the truncated Neumann series gets the rest.
+# evaluation in floating point; the truncated iteration gets the rest.
 _ROUNDING_SHARE = 0.1
+
+
+def series_plan(rb, epsilon, C_f):
+    """The doubling plan solution_network(rb, epsilon, C_f) compiles: a
+    matrixnets.ChebyshevPlan with the length l, the stage scalars c and
+    the certified bound r_l >= ||Q_l||_2.
+
+    The output B_y^-1 (I - Q_l) f_rb misses B_y^-1 f_rb by at most
+    |B_y^-1|_2 r_l C_f <= lam r_l C_f/delta, so the plan runs at tolerance
+    0.9 epsilon/(lam C_f) and margin rb.delta; the clamp at 0.9 keeps the
+    tolerance in (0, 1) and only ever lowers it.
+    """
+    if not (np.isfinite(epsilon) and 0.0 < epsilon < 1.0):
+        raise InvalidArgument(f"epsilon must lie in (0, 1), got {epsilon}")
+    f_norm = float(np.linalg.norm(rb.f_rb))
+    if not (np.isfinite(C_f) and C_f > 0 and C_f >= f_norm):
+        raise InvalidArgument(
+            f"C_f must be positive and at least |f_rb| = {f_norm:.6g}, got {C_f}"
+        )
+    tol = min((1.0 - _ROUNDING_SHARE) * epsilon / C_f / rb.lam, 0.9)
+    return _chebyshev_plan(tol, rb.delta)
 
 
 def solution_network(rb, epsilon, C_f):
     """End-to-end solution-map networks (reduced and high-fidelity).
 
-    rb_net is the Neumann chain on the contraction R_y = I - lam B^rb_y with
-    X = lam f_rb^T: it computes lam f_rb^T P(R_y), P(R) = sum_{k<2^l} R^k,
-    which is lam P(R_y) f_rb as ReducedBasis keeps R_y exactly symmetric,
-    the truncated Neumann series for B_y^-1 applied to the constant load.
+    rb_net is the doubling chain on the contraction R_y = I - lam B^rb_y
+    with X = lam f_rb^T and the scalars of series_plan: Q_0 = R_y,
+    Q_{k+1} = c_k Q_k^2 - (c_k - 1) I, so it computes
+    lam f_rb^T (I - Q_l)(I - R_y)^-1 = (B_y^-1 (I - Q_l) f_rb)^T, as
+    ReducedBasis keeps R_y exactly symmetric; Q_l is, up to the rounding
+    of the stored c_k, the Chebyshev polynomial of degree 2^l on
+    [-(1 - delta), 1 - delta] scaled to 1 at 1, and ||Q_l||_2 <= r_l.
     h_net lifts it through V.  The epsilon ledger: the operator layer is
-    exact, so the series runs at tolerance 0.9 epsilon/(lam C_f) at the
+    exact, so the iteration runs at tolerance 0.9 epsilon/(lam C_f) at the
     certified margin rb.delta, and the other 0.1 epsilon (_ROUNDING_SHARE)
     is held back for rounding.  The reduced output thus stays within
     0.9 epsilon of reduced_solve (Euclidean) in exact arithmetic, and the
@@ -555,21 +580,9 @@ def solution_network(rb, epsilon, C_f):
     h_net._layers[:-2] are the very stored layers of rb_net._layers[:-1],
     so solution_errors evaluates that shared prefix once for both.
     """
-    if not (np.isfinite(epsilon) and 0.0 < epsilon < 1.0):
-        raise InvalidArgument(f"epsilon must lie in (0, 1), got {epsilon}")
-    f_norm = float(np.linalg.norm(rb.f_rb))
-    if not (np.isfinite(C_f) and C_f > 0 and C_f >= f_norm):
-        raise InvalidArgument(
-            f"C_f must be positive and at least |f_rb| = {f_norm:.6g}, got {C_f}"
-        )
-    # |lam P f_rb - B^-1 f_rb| <= lam |P - (I - R)^-1|_2 C_f <= lam tol C_f;
-    # the clamp keeps tol in (0, 1) and only ever lowers it.
-    tol = min((1.0 - _ROUNDING_SHARE) * epsilon / C_f / rb.lam, 0.9)
-    l = neumann_length(tol, rb.delta).l
-    X = rb.lam * rb.f_rb[None, :]
-    # vec(X (R + I)) = (I_d kron X) vec R + vec X
-    first = affine_network(sp.kron(sp.eye(rb.d), X, format="csr"), vec(X))
-    rb_net = sparse_concat(_neumann_chain(rb.d, l, first), contraction_network(rb))
+    plan = series_plan(rb, epsilon, C_f)
+    chain = _neumann_chain(rb.d, plan.c, rb.lam * rb.f_rb[None, :])
+    rb_net = sparse_concat(chain, contraction_network(rb))
     h_net = sparse_concat(affine_network(sp.csr_matrix(rb.V)), rb_net)
     return rb_net, h_net
 
@@ -757,7 +770,8 @@ def _check_reduced_payload(net, rb):
     d x d matrices, f_rb has length d, net maps p inputs to d or D, V, theta,
     f_rb, alpha, beta and truncation_sup (unless None) are finite, and
     0 < beta < alpha, the bounds lam = 2/(alpha + beta) and its margin
-    2 beta/(alpha + beta) in (0, 1) need."""
+    2 beta/(alpha + beta) in (0, 1) need, with lam finite (alpha + beta
+    can be too small to invert)."""
     shapes = {t.shape for t in rb.theta}
     ok = rb.V.ndim == 2 and shapes == {(rb.d, rb.d)} and rb.f_rb.shape == (rb.d,)
     if not (ok and net.input_dim == rb.p and net.output_dim in (rb.d, rb.V.shape[0])):
@@ -771,4 +785,9 @@ def _check_reduced_payload(net, rb):
     if not 0.0 < rb.beta < rb.alpha:
         raise InvalidArgument(
             f"reduced-basis payload needs 0 < beta < alpha, got beta {rb.beta!r}, alpha {rb.alpha!r}"
+        )
+    if not np.isfinite(rb.lam):
+        raise InvalidArgument(
+            f"reduced-basis payload gives lam = 2/(alpha + beta) = {rb.lam!r} "
+            f"(alpha {rb.alpha!r}, beta {rb.beta!r})"
         )

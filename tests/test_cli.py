@@ -304,6 +304,7 @@ def test_pde_small_end_to_end(tmp_path):
     assert doc["alpha"] == 1.5 and doc["beta"] == 0.5
     assert doc["worst_euclid"] <= 1e-2 and doc["worst_g"] <= 1e-2
     assert doc["depth"] >= 3
+    assert doc["depth"] == (2 * doc["l"] + 2 if doc["l"] >= 2 else 3)  # h_net over the doubling length
 
     with open(tmp_path / "pde.csv", newline="") as fh:
         rows = list(csv.reader(fh))

@@ -54,7 +54,7 @@ def _corpus():
 
 
 DIGESTS = {
-    'h_net': '1011f7a2ab2ebc2cc0bdded0fa7f3abfba68ed5d2ac24243923306f1c08c2e32',
+    'h_net': '4c2adecb9171c2c12705d83a8e30fd6ae58685635ae19f25c06cb011c71531a5',
     'identity 3 6': '0615349ef192ffd741ab6d1cf3751ac45c2b3ebbf52d01fe397748cff14e2943',
     'inversion d1 eps0.001 delta0.2': '5c2d18e589fb2856155af796b013d95f93e8a2189c579211890a9a9b932198bf',
     'inversion d1 eps0.5 delta0.9': '63fdc7f85dc85367e97b0c1b847f40cd957fe4fa0536feb48fc72d1a78696a37',
@@ -70,7 +70,7 @@ DIGESTS = {
     'inversion d8 eps1e-06 delta0.05': 'b4e39521a1412cdff0c4284801a0b21b7d9c51f6bdb3637410740ef01744dfa2',
     'parallel': 'b2fcf5997ab6c0ffe190d02f8ac0d9f663f3e71443992ad8459dd927d7262e1b',
     'power 2 3': 'bb7d7e0f0244c320f79f28f6eee92ef0a85976d0376f8d9edc26140ad9578fb8',
-    'rb_net': 'b2c026e46ffdeefcd835ff403514b507e640b11bc80490c9b2128a83bd7fec7a',
+    'rb_net': '118a376bee2255b56c32cd1399d4dbc671ec9ef2a91af9c98e2d5c2e6205b057',
     'scalar product': '3b5eb51c4de5c740b73363d5f8707323ff6da801ba6a3c678549d3c6f7fe92bc',
 }
 

@@ -1,12 +1,16 @@
 """Exact matrix-arithmetic networks: column-major vectorization, the scalar
-product gadget, multiplication/squaring/dyadic powers, and the Neumann-series
-approximate inverse with its partial-sum length rule."""
+product gadget, multiplication/squaring/dyadic powers, the Neumann-series
+approximate inverse with its partial-sum length rule, and the Chebyshev
+doubling chain with its certified plan."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from requnet import (
     ConvergenceFailure,
@@ -33,7 +37,7 @@ from requnet import (
     vec,
 )
 from requnet import calculus, matrixnets
-from requnet.matrixnets import _inversion_nnz_exact
+from requnet.matrixnets import _chebyshev_plan, _inversion_nnz_exact
 
 rng = np.random.default_rng(4101)
 
@@ -242,17 +246,21 @@ def test_neumann_length_examples():
 
 
 def test_neumann_length_domain():
-    for eps, delta in [(0.0, 0.5), (1.0, 0.5), (0.5, 0.0), (0.5, 1.0), (-0.1, 0.5), (0.5, 1.5)]:
-        with pytest.raises(InvalidArgument):
-            neumann_length(eps, delta)
+    # the Chebyshev plan shares the domain
+    for eps, delta in [(0.0, 0.5), (1.0, 0.5), (0.5, 0.0), (0.5, 1.0), (-0.1, 0.5), (0.5, 1.5), (np.nan, 0.5)]:
+        for plan in (neumann_length, _chebyshev_plan):
+            with pytest.raises(InvalidArgument):
+                plan(eps, delta)
 
 
 @pytest.mark.parametrize("eps, delta", [(1e-3, 1e-17), (0.5, 1e-300), (5e-324, 0.4)])
 def test_neumann_length_rejects_what_double_precision_cannot_plan(eps, delta):
     # 1 - delta rounds to 1, or delta * eps underflows to 0: the closed form
-    # would divide by log(1) = 0 or take log(0)
-    with pytest.raises(InvalidArgument):
-        neumann_length(eps, delta)
+    # would divide by log(1) = 0 or take log(0), the Chebyshev bound start at 1
+    # or never reach the tolerance
+    for plan in (neumann_length, _chebyshev_plan):
+        with pytest.raises(InvalidArgument):
+            plan(eps, delta)
 
 
 def test_neumann_length_tail_invariant_grid():
@@ -398,19 +406,19 @@ def test_inversion_weight_exact_linear_in_l():
             assert rep.depth == 2 * l + 1
 
 
-def _first(X):
-    """The affine layer vec A -> vec(X (A + I)) for an n x d X."""
-    return affine_network(sp.kron(sp.eye(X.shape[1]), X, format="csr"), vec(X))
+def _unit(l):
+    return (1.0,) * l
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_neumann_chain_matches_the_partial_sum(n):
-    """The chain computes X P(A), P the partial sum by direct accumulation,
-    for an n x d X: n = d reuses the squaring's product as the carry."""
+    """At all c_k = 1 the chain computes X P(A), P the partial sum by direct
+    accumulation, for an n x d X: n = d reuses the squaring's product as
+    the carry."""
     d, local = 3, np.random.default_rng(4102)
     X = local.standard_normal((n, d))
     for l in (1, 2, 4):
-        net = matrixnets._neumann_chain(d, l, _first(X))
+        net = matrixnets._neumann_chain(d, _unit(l), X)
         assert net.depth == (1 if l == 1 else 2 * l)
         A = local.standard_normal((d, d))
         A *= 0.7 / np.linalg.norm(A, 2)
@@ -418,20 +426,189 @@ def test_neumann_chain_matches_the_partial_sum(n):
         np.testing.assert_allclose(matr(realize(net, vec(A)), n, d), want, rtol=1e-12, atol=1e-13)
 
 
+def _doubling(X, A, c):
+    """W_l of the doubling W <- c W (Q + I), Q <- c Q^2 - (c - 1) I from
+    (X, A), by plain numpy products."""
+    W, Q, eye = X, A, np.eye(A.shape[0])
+    for ck in c:
+        W, Q = ck * (W @ (Q + eye)), ck * (Q @ Q) - (ck - 1.0) * eye
+    return W
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_chebyshev_chain_matches_the_doubling_recursion(n):
+    """With stage scalars the chain computes the doubling recursion, and for
+    a symmetric A and the plan's scalars that is X (I - Q_l)(I - A)^{-1},
+    within bound/delta of X (I - A)^{-1}."""
+    d, local = 3, np.random.default_rng(4104)
+    X = local.standard_normal((n, d))
+    A = local.standard_normal((d, d))
+    A = (A + A.T) * (0.8 / np.linalg.norm(A + A.T, 2))
+    for c in [(1.5, 1.25), (1.9, 1.0, 1.3), tuple(local.uniform(1.0, 2.0, 4))]:
+        net = matrixnets._neumann_chain(d, c, X)
+        assert net.depth == 2 * len(c)
+        got = matr(realize(net, vec(A)), n, d)
+        np.testing.assert_allclose(got, _doubling(X, A, c), rtol=1e-12, atol=1e-13)
+    plan = _chebyshev_plan(1e-6, 0.2)
+    got = matr(realize(matrixnets._neumann_chain(d, plan.c, X), vec(A)), n, d)
+    exact = X @ np.linalg.inv(np.eye(d) - A)
+    assert np.linalg.norm(got - exact, 2) <= plan.bound / 0.2 * np.linalg.norm(X, 2) * (1 + 1e-9)
+
+
 def test_neumann_chain_nnz_exact():
     """For a dense 1 x d X: (48l - 72)d^3 + (52l - 60)d^2 + (54 - 16l)d
     nonzeros for l >= 2 and d^2 + d at l = 1, against the inversion's
     (96l - 120)d^3 leading term.  An entry X_j = 1 zeroes the bias X_j - 1
-    of its gadget unit, so X = (1, ..., d) counts 2 fewer for l >= 2."""
+    of its gadget unit, so X = (1, ..., d) counts 2 fewer for l >= 2.
+    Stage scalars outside {1, 2} add the biases (1 - c)(Q + I) of the
+    squaring's inputs, 8d^2 - 6d in each of the l - 2 middle joins:
+    (48l - 72)d^3 + (60l - 76)d^2 + (66 - 22l)d."""
     local = np.random.default_rng(4103)
     for d in range(1, 7):
         X = local.uniform(2.0, 3.0, (1, d))
         ramp = np.arange(1.0, d + 1)[None]
         for l in range(1, 6):
             want = d * d + d if l == 1 else (48 * l - 72) * d**3 + (52 * l - 60) * d**2 + (54 - 16 * l) * d
-            assert complexity(matrixnets._neumann_chain(d, l, _first(X))).total_nnz == want
+            assert complexity(matrixnets._neumann_chain(d, _unit(l), X)).total_nnz == want
             fewer = 0 if l == 1 else 2
-            assert complexity(matrixnets._neumann_chain(d, l, _first(ramp))).total_nnz == want - fewer
+            assert complexity(matrixnets._neumann_chain(d, _unit(l), ramp)).total_nnz == want - fewer
+            if l >= 2:
+                c = tuple(local.uniform(1.01, 1.99, l))
+                want = (48 * l - 72) * d**3 + (60 * l - 76) * d**2 + (66 - 22 * l) * d
+                assert complexity(matrixnets._neumann_chain(d, c, X)).total_nnz == want
+
+
+def test_one_stage_chain_takes_no_scalar():
+    with pytest.raises(InvalidArgument):
+        matrixnets._neumann_chain(2, (1.5,), np.ones((1, 2)))
+
+
+# ------------------------------------------------------------ _chebyshev_plan
+
+
+def _chebyshev_value(c, x):
+    """q_l of q_0 = x, q_{k+1} = c_k q_k^2 - (c_k - 1) for floats c_k and x,
+    exactly: (N, D) with q_l = N/D, D a power of two (Fraction would spend
+    its time in gcds of the ever longer numbers)."""
+    num, den = x.as_integer_ratio()
+    for ck in c:
+        cn, cd = ck.as_integer_ratio()
+        num, den = cn * num * num - (cn - cd) * den * den, cd * den * den
+    return num, den
+
+
+def _below(value, bound):
+    """|N/D| <= bound, exactly."""
+    (num, den), (bn, bd) = value, Fraction(bound).as_integer_ratio()
+    return abs(num) * bd <= bn * den
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    st.floats(1e-4, 0.9),
+    st.floats(1e-12, 0.5),
+    st.integers(1, 6),
+    st.lists(st.floats(-1.0, 1.0), min_size=0, max_size=4),
+)
+def test_chebyshev_bound_covers_every_symmetric_contraction(delta, eps, d, interior):
+    """For symmetric R with spectrum in [-rho_0, rho_0], rho_0 = 1 - delta,
+    the endpoints included: every eigenvalue of Q_l is q_l(eigenvalue of R),
+    and in exact arithmetic |q_l| <= r_l there; the numpy Q_l meets the
+    bound up to its own rounding.  The plan's l is never above the Neumann
+    length, and r_l/delta <= eps."""
+    plan = _chebyshev_plan(eps, delta)
+    assert plan.l == len(plan.c) and plan.l <= neumann_length(eps, delta).l
+    assert Fraction(plan.bound) <= Fraction(eps) * Fraction(delta)
+    rho = 1.0 - delta  # exact here, or rounded to nearest
+    spectrum = [rho, -rho] + [rho * t for t in interior]
+    for x in spectrum:
+        assert _below(_chebyshev_value(plan.c, x), plan.bound)
+    # a symmetric R with this spectrum, padded to d eigenvalues
+    lam = np.array((spectrum * d)[: max(d, 2)])
+    U, _ = np.linalg.qr(np.random.default_rng(len(spectrum)).standard_normal((len(lam),) * 2))
+    R = (U * lam) @ U.T
+    R = (R + R.T) / 2
+    Q, eye = R, np.eye(len(lam))
+    for ck in plan.c:
+        Q = ck * (Q @ Q) - (ck - 1.0) * eye
+    assert np.linalg.norm(Q, 2) <= plan.bound + 1e-13
+
+
+def test_chebyshev_plan_is_no_longer_than_neumann_on_a_grid():
+    for eps in (0.5, 1e-1, 1e-3, 1e-6, 1e-10):
+        for delta in (0.9, 0.5, 0.2, 1e-2, 1e-4):
+            plan, l = _chebyshev_plan(eps, delta), neumann_length(eps, delta).l
+            assert plan.l <= l
+            assert Fraction(plan.bound) <= Fraction(eps) * Fraction(delta)
+            if plan.l >= 3:  # the shorter chain misses at the endpoint 1 - delta
+                shorter = _chebyshev_value(plan.c[: plan.l - 1], 1.0 - delta)
+                assert not _below(shorter, Fraction(eps) * Fraction(delta))
+    # the README pde size needs r_l <= 2.1e-5 at delta = 1/6: r_4 = 9.5e-5
+    # misses, r_5 = 4.5e-9 meets it, where the Neumann tail needs l = 6
+    plan = _chebyshev_plan(2.1e-5 * 6, 1 / 6)
+    assert (plan.l, neumann_length(2.1e-5 * 6, 1 / 6).l) == (5, 6)
+    r4 = _chebyshev_value(plan.c[:4], 5 / 6)
+    assert 9e-5 < r4[0] / r4[1] < 1e-4 and 4e-9 < plan.bound < 5e-9
+
+
+def test_chebyshev_plan_scalars_and_bounds():
+    """c_k lies in [1, 2], so 2 - c_k and 1 - c_k are exact; the bound
+    covers the exact recursion r_{k+1} = max(c_k - 1, c_k r_k^2 - (c_k - 1))
+    from r_0 = 1 - delta with the stored c_k, and is that value rounded up
+    at each step; at l = 1 the plan stores c_0 = 1 and r_1 = r_0^2."""
+    for eps, delta in [(1e-6, 0.2), (1e-3, 1 / 6), (1e-9, 0.01)]:
+        plan = _chebyshev_plan(eps, delta)
+        r = 1 - Fraction(delta)
+        for ck in plan.c:
+            assert 1.0 <= ck <= 2.0
+            assert Fraction(2.0 - ck) == 2 - Fraction(ck) and Fraction(1.0 - ck) == 1 - Fraction(ck)
+            r = max(Fraction(ck) - 1, Fraction(ck) * r * r - (Fraction(ck) - 1))
+        assert r <= Fraction(plan.bound) <= r * (1 + Fraction(1, 10**12))
+    one = _chebyshev_plan(0.5, 0.9)
+    assert (one.l, one.c) == (1, (1.0,))
+    assert Fraction(one.bound) >= (1 - Fraction(0.9)) ** 2
+
+
+def test_chebyshev_plan_rejects_a_bound_that_stalls():
+    # eps * delta lies below the least subnormal, where r_l, rounded up, stops
+    with pytest.raises(InvalidArgument, match="epsilon"):
+        _chebyshev_plan(1e-323, 0.3)
+    assert _chebyshev_plan(2e-323, 0.3).l == 10
+
+
+def test_chebyshev_identity_in_exact_arithmetic():
+    """At d = 2, in rationals: I - Q_l = (I - R) prod_k c_k (I + Q_k) with
+    the stored c_k, and the network's weights, evaluated exactly, give
+    X prod_k c_k (Q_k + I)."""
+    plan = _chebyshev_plan(1e-4, 0.3)
+    c = [Fraction(ck) for ck in plan.c]
+    R = [[Fraction(1, 2), Fraction(-1, 5)], [Fraction(-1, 5), Fraction(-3, 10)]]
+
+    def mul(A, B):
+        return [[sum(A[i][k] * B[k][j] for k in range(2)) for j in range(2)] for i in range(2)]
+
+    def lin(a, A, b):  # a A + b I
+        return [[a * A[i][j] + (b if i == j else 0) for j in range(2)] for i in range(2)]
+
+    Q, prod = R, lin(0, R, 1)
+    for ck in c:
+        prod = mul(prod, lin(ck, Q, ck))
+        Q = lin(ck, mul(Q, Q), 1 - ck)
+    assert lin(-1, Q, 1) == mul(lin(-1, R, 1), prod)
+    # the network at X = (1/2, 3/4) in exact arithmetic
+    X = [Fraction(1, 2), Fraction(3, 4)]
+    net = matrixnets._neumann_chain(2, plan.c, np.array([[0.5, 0.75]]))
+    z = [R[i][j] for j in range(2) for i in range(2)]
+    for k, (A, b) in enumerate(net.layers):
+        A = A.tocsr()
+        z = [
+            Fraction(b[i]) + sum(Fraction(v) * z[j] for v, j in zip(A.data[A.indptr[i] : A.indptr[i + 1]], A.indices[A.indptr[i] : A.indptr[i + 1]]))
+            for i in range(A.shape[0])
+        ]
+        if k < net.depth - 1:
+            z = [max(v, 0) ** 2 for v in z]
+    want = [sum(X[k] * prod[k][j] for k in range(2)) for j in range(2)]
+    assert z == want
 
 
 def test_inversion_rejects_bad_dim():

@@ -32,12 +32,12 @@ from requnet import (
     load_reduced_network,
     matr,
     neumann_length,
-    neumann_partial_sum_oracle,
     realize,
     realize_batch,
     reduced_solve,
     requ,
     save_reduced_network,
+    series_plan,
     solution_errors,
     solution_network,
     solve_high_fidelity,
@@ -45,6 +45,7 @@ from requnet import (
     write_error_csv,
 )
 from requnet import pde
+from requnet.matrixnets import _chebyshev_plan
 from requnet.pde import _g_norm, _g_norms
 
 
@@ -613,37 +614,55 @@ def test_contraction_network_matches_and_contracts(rb9):
 # ------------------------------------------------------------------- rb_net
 
 
-def _series_length(rb, eps, C_f):
-    """The Neumann length solution_network picks at (eps, C_f)."""
-    return neumann_length(min(0.9 * eps / C_f / rb.lam, 0.9), rb.delta).l
+def _series_plan(rb, eps, C_f):
+    """The doubling plan solution_network compiles at (eps, C_f)."""
+    return _chebyshev_plan(min(0.9 * eps / C_f / rb.lam, 0.9), rb.delta)
 
 
-def test_rb_net_scalar_geometric_series():
+def _chebyshev_iteration(lam, f, R, c):
+    """lam f^T prod_k c_k (Q_k + I), Q_0 = R, Q_{k+1} = c_k Q_k^2 - (c_k - 1) I,
+    by plain numpy products."""
+    W, Q, eye = lam * f, R, np.eye(len(f))
+    for ck in c:
+        W, Q = ck * (W @ (Q + eye)), ck * (Q @ Q) - (ck - 1.0) * eye
+    return W
+
+
+def test_series_plan_is_the_chebyshev_plan_at_the_series_tolerance(rb9):
+    for eps in (0.5, 1e-3, 1e-6):
+        C_f = 1.01 * np.linalg.norm(rb9.f_rb)
+        assert series_plan(rb9, eps, C_f) == _series_plan(rb9, eps, C_f)
+        assert series_plan(rb9, eps, C_f).l <= neumann_length(min(0.9 * eps / C_f / rb9.lam, 0.9), rb9.delta).l
+
+
+def test_rb_net_scalar_chebyshev_iteration():
     # s = 1 with one snapshot: the reduced operator is exactly mu + y, so
-    # rb_net must compute lam f_rb sum_k (1 - lam (mu + y))^k ~ f_rb/(mu + y)
+    # rb_net must compute lam f_rb prod_k c_k (q_k + 1), q_0 = 1 - lam (mu + y),
+    # which is f_rb (1 - q_l)/(mu + y) ~ f_rb/(mu + y)
     sys = assemble_affine_system(5, 1, 0.5)
     rb = build_reduced_basis(sys, np.array([[0.3]]))
     np.testing.assert_allclose(rb.theta[0], [[0.5]], rtol=1e-12)
     np.testing.assert_allclose(rb.theta[1], [[1.0]], rtol=1e-12)
     eps, C_f = 1e-4, 1.01 * abs(rb.f_rb[0])
     rb_net, _ = solution_network(rb, eps, C_f)
-    l = _series_length(rb, eps, C_f)
+    plan = _series_plan(rb, eps, C_f)
+    assert plan.l >= 2 and rb_net.depth == 2 * plan.l + 1
     for y in np.linspace(0.0, 1.0, 100):
         got = realize(rb_net, [y])[0]
         assert abs(got - rb.f_rb[0] / (0.5 + y)) <= 0.9 * eps
-        series = rb.lam * rb.f_rb[0] * sum((1 - rb.lam * (0.5 + y)) ** k for k in range(2**l))
-        np.testing.assert_allclose(got, series, rtol=1e-10)
+        q = np.array([[1 - rb.lam * (0.5 + y)]])
+        np.testing.assert_allclose(got, _chebyshev_iteration(rb.lam, rb.f_rb, q, plan.c)[0], rtol=1e-12)
 
 
 def test_rb_net_depth_and_error_budget(rb9):
-    """rb_net has depth 2l + 1 and stays within the truncated tail
-    lam (1 - delta)^(2^l)/delta |f_rb| of B_y^-1 f_rb, which the length
-    rule keeps below 0.9 eps."""
+    """rb_net has depth 2l + 1 and stays within lam r_l/delta |f_rb| of
+    B_y^-1 f_rb, r_l the plan's certified bound on ||Q_l||_2, which the
+    length rule keeps below 0.9 eps."""
     eps, C_f = 1e-3, 1.01 * np.linalg.norm(rb9.f_rb)
     rb_net, _ = solution_network(rb9, eps, C_f)
-    l = _series_length(rb9, eps, C_f)
-    assert complexity(rb_net).depth == 2 * l + 1
-    tail = rb9.lam * (1 - rb9.delta) ** (2**l) / rb9.delta * np.linalg.norm(rb9.f_rb)
+    plan = _series_plan(rb9, eps, C_f)
+    assert complexity(rb_net).depth == 2 * plan.l + 1
+    tail = rb9.lam * plan.bound / rb9.delta * np.linalg.norm(rb9.f_rb)
     assert tail <= 0.9 * eps
     rng = np.random.default_rng(91)
     for _ in range(10):
@@ -652,19 +671,19 @@ def test_rb_net_depth_and_error_budget(rb9):
         assert np.linalg.norm(realize(rb_net, y) - want) <= tail * (1 + 1e-9)
 
 
-def test_rb_net_matches_the_neumann_oracle(rb9):
-    """rb_net computes lam P(R_y) f_rb, P the Neumann partial sum of the
-    contraction R_y by direct accumulation; every stage's depth is pinned."""
+def test_rb_net_matches_the_chebyshev_recursion(rb9):
+    """rb_net computes lam f_rb^T prod_k c_k (Q_k + I) on the contraction
+    R_y, by the recursion in numpy; every stage's depth is pinned."""
     eps, C_f = 1e-3, 1.01 * np.linalg.norm(rb9.f_rb)
     rb_net, h_net = solution_network(rb9, eps, C_f)
-    l = _series_length(rb9, eps, C_f)
+    plan = _series_plan(rb9, eps, C_f)
     depths = [net.depth for net in (contraction_network(rb9), rb_net, h_net)]
-    assert depths == [1, 2 * l + 1, 2 * l + 2]
+    assert depths == [1, 2 * plan.l + 1, 2 * plan.l + 2]
     rng = np.random.default_rng(75)
     for _ in range(10):
         y = rng.uniform(0, 1, 4)
         R = np.eye(rb9.d) - rb9.lam * reduced_operator(rb9, y)
-        want = rb9.lam * neumann_partial_sum_oracle(R, l) @ rb9.f_rb
+        want = _chebyshev_iteration(rb9.lam, rb9.f_rb, R, plan.c)
         np.testing.assert_allclose(realize(rb_net, y), want, rtol=1e-12)
 
 
@@ -691,10 +710,9 @@ def test_solution_network_depth_relation(rb9):
     eps = 1e-3
     C_f = 1.01 * np.linalg.norm(rb9.f_rb)
     rb_net, h_net = solution_network(rb9, eps, C_f)
-    eps_inverse = min(0.9 * eps / C_f, 0.9)
-    l = neumann_length(min(eps_inverse / rb9.lam, 0.9), rb9.delta).l
+    l = _chebyshev_plan(min(0.9 * eps / C_f / rb9.lam, 0.9), rb9.delta).l
     assert complexity(rb_net).depth == 2 * l + 1
-    assert complexity(h_net).depth == complexity(rb_net).depth + 1
+    assert complexity(h_net).depth == 2 * l + 2
 
 
 def test_solution_network_shares_prefix(rb9):
@@ -1104,6 +1122,7 @@ def _poisoned(a, value):
         lambda rb: dict(truncation_sup=np.inf),
         lambda rb: dict(alpha=-rb.beta),
         lambda rb: dict(alpha=5e-324, beta=0.0),
+        lambda rb: dict(alpha=1e-323, beta=5e-324),  # 0 < beta < alpha, lam = inf
         lambda rb: dict(beta=rb.alpha),
         lambda rb: dict(beta=rb.alpha + 1.0),
         lambda rb: dict(beta=-rb.beta),
@@ -1111,7 +1130,7 @@ def _poisoned(a, value):
     ids=[
         "V-3d", "theta-one-entry", "theta-3x3", "theta-one-row", "f_rb-short", "p-mismatch",
         "V-one-row-fewer", "V-nan", "theta-inf", "f_rb-minus-inf", "alpha-nan", "beta-inf", "truncation_sup-nan",
-        "truncation_sup-inf", "alpha-plus-beta-zero", "alpha-tiny-beta-zero", "beta-equals-alpha",
+        "truncation_sup-inf", "alpha-plus-beta-zero", "alpha-tiny-beta-zero", "lam-inf", "beta-equals-alpha",
         "beta-above-alpha", "beta-negative",
     ],
 )

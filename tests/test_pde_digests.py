@@ -13,8 +13,8 @@ PDE_GRID9 = [
 ]
 
 DIGESTS = {
-    "pde.json": "c17cb9d23a41415ed93184c959168acba9559852f9a94f1b7ddd1b933dcd7667",
-    "pde.csv": "b3f4545d9c41efc7957080eebcdd21f9296b6e70234ae2e5e657022dbc36be8a",
+    "pde.json": "3d09aabacf4609f98d47fdf5cd7b1edbacc1b97b0725f024a8e763079406dba3",
+    "pde.csv": "2ffaa07ddb6c86ca19822c526fccb3f794b44f27623ecb894507eaf4ab8c831f",
 }
 
 
