@@ -107,22 +107,46 @@ def extend(phi, L):
     return Network._trusted(phi._layers[:-1] + (first,) + middle + (last,))
 
 
-def _sparse_chain(stages):
+def _sparse_chain(stages, junctions=None):
     """sparse_concat(stages[-1], ... sparse_concat(stages[1], stages[0])) for
-    stages of depth >= 2, with one extension per distinct inner stage and one
-    fused join per distinct outer stage: a repeated stage repeats the same
-    layer objects.  The fused join depends on its inner stage only through
-    the extension's last layer, which is fixed by the output width."""
+    stages of depth >= 2, with junctions[k] = (c, t), one per stage if
+    given, mapping stage k's output y to c y + t: the gadget layer after it
+    carries c in its weights (the identity gadget is linear), and the join
+    keeps its matrix, its bias plus the next stage's first layer applied to
+    t + (c - 1) b, b stage k's last bias, which the gadget passes unscaled;
+    the last stage's last layer (A, b) becomes (c A, c b + t).  Each distinct
+    inner stage is extended once and each distinct outer stage fused once,
+    so a repeated stage behind plain junctions (1, 0) repeats the same layer
+    objects; the fused join depends on its inner stage only through the
+    extension's last layer, which is fixed by the output width."""
     extended, fused = {}, {}
     layers = stages[0]._layers[:-1]
-    for inner, outer in zip(stages, stages[1:]):
+    junctions = junctions or [(1.0, 0.0)] * len(stages)
+    for inner, outer, (c, t) in zip(stages, stages[1:], junctions):
         if id(inner) not in extended:
             extended[id(inner)] = extend(inner, inner.depth + 1)
         ext = extended[id(inner)]
         if id(outer) not in fused:
             fused[id(outer)] = concat(outer, ext)._layers[inner.depth]
-        layers += (ext._layers[inner.depth - 1], fused[id(outer)]) + outer._layers[1:-1]
-    return Network._trusted(layers + stages[-1]._layers[-1:])
+        gadget, join = ext._layers[inner.depth - 1], fused[id(outer)]
+        if c != 1.0 or np.any(t):
+            (J, _, tag), (A1, b1, _) = join, outer._layers[0]
+            shift = t + (c - 1.0) * inner._layers[-1][1]
+            gadget, join = _times(gadget, c, gadget[1]), _seal(J, A1 @ shift + b1) + (tag,)
+        layers += (gadget, join) + outer._layers[1:-1]
+    (c, t), last = junctions[-1], stages[-1]._layers[-1]
+    if c != 1.0 or np.any(t):
+        last = _times(last, c, c * last[1] + t)
+    return Network._trusted(layers + (last,))
+
+
+def _times(layer, c, b):
+    """A stored layer with its weights times c and the bias b, checked for
+    finite entries; the pattern is the stored layer's, already canonical."""
+    A, _, tag = layer
+    scaled = sp.csr_matrix((A.data * c, A.indices, A.indptr), shape=A.shape)
+    scaled.has_canonical_format = True
+    return _seal(scaled, b) + (tag,)
 
 
 def parallelize(phis):

@@ -350,6 +350,8 @@ def cmd_verify(args):
 
 
 def cmd_invert(args):
+    if args.dim < 1:  # before the sample, which would divide by its zero norm
+        raise InvalidArgument(f"need an integer d >= 1, got {args.dim!r}")
     plan = neumann_length(args.eps, args.delta)
     if args.matrix is not None:
         with open(args.matrix, "r", encoding="utf-8") as fh:

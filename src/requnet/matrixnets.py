@@ -25,7 +25,8 @@ For a symmetric A the scalars of _chebyshev_plan make Q_l a scaled
 Chebyshev polynomial of degree 2^l (Golub & Varga 1961), which needs
 l ~ log2(log(1/epsilon)/sqrt(delta)) stages instead of
 log2(log(1/epsilon)/delta); the pde solution map runs it at a row X,
-(48l - 72)d^3 + O(l d^2) nonzeros.
+(48l - 72)d^3 + O(l d^2) nonzeros.  calculus._sparse_chain alone lays the
+stages out, taking the scalars as junctions x -> c_k x + t_k between them.
 """
 
 from __future__ import annotations
@@ -274,16 +275,6 @@ def _split(n, d, keep_q):
     return affine_network(_copies(cols, nd + dd), b)
 
 
-def _scaled(layer, c):
-    """A stored layer with its weights times a finite c: the layer's checked
-    pattern and bias with finite entries, frozen without _seal's scans."""
-    A, b, tag = layer
-    scaled = sp.csr_matrix((A.data * c, A.indices, A.indptr), shape=A.shape)
-    scaled.has_canonical_format = True
-    scaled.data.setflags(write=False)
-    return scaled, b, tag
-
-
 def _neumann_chain(d, c, X):
     """Network vec A -> vec W_l for A d x d, a constant n x d X and stage
     scalars c = (c_0, ..., c_{l-1}): W_0 = X, Q_0 = A and
@@ -294,20 +285,12 @@ def _neumann_chain(d, c, X):
 
     The affine first layer vec A -> vec(X (A + I)) itself at l = 1, where
     c_0 must be 1; else l depth-2 stages, each the product of its row by
-    Q + I beside the squaring of Q, the last without the squaring, built
-    and joined once at all c_k = 1.  Stage k emits the raw pair
-    (U, S) = (W_k (Q_k + I), Q_k^2), and stage k + 1 must read it as
-    (c_k U, c_k S + (2 - c_k) I, c_k S + (1 - c_k) I), that is
-    (W_{k+1}, Q_{k+1} + I, Q_{k+1}).  The gadget layer that extends stage k
-    carries c_k in its weights, as the identity gadget passes on c_k times
-    its input; the join after it keeps the unit weights, and its bias
-    becomes (2 - c_k) g + (1 - c_k) h, g the unit bias (the I of Q + I)
-    and h what the stages' first layer makes of an I in the Q copy.  The
-    last readout carries c_{l-1}.  The gadget and readout weights are
-    +-1/4, g's entries 0 and +-1 and h's 0, +-1 and 2 on other rows, so
-    every scaled weight and bias is exact.  One product network (the
-    squaring's when n = d), squaring and duplicator are built per call and
-    shared by all stages.
+    Q + I beside the squaring of Q, the last without the squaring.  Stage k
+    emits (U, S) = (W_k (Q_k + I), Q_k^2), and the junction after it is
+    (U, S) -> (c_k U, c_k S + (1 - c_k) I) = (W_{k+1}, Q_{k+1}); the last
+    readout carries c_{l-1}.  One product network (the squaring's when
+    n = d), squaring and duplicator are built per call and shared by all
+    stages.
     """
     l, first = len(c), _carry_start(d, X)
     if l == 1:
@@ -318,24 +301,12 @@ def _neumann_chain(d, c, X):
     mult, duplicate = mult_network(d, d, d), _duplicator(d * d)
     carry = mult if n == d else mult_network(n, d, d)
     square = concat(mult, duplicate)  # square_network(d) from the shared parts
-    both = parallelize([carry, square])
     start = concat(parallelize([first, square]), duplicate)
-    stage = concat(both, _split(n, d, keep_q=True))
+    stage = concat(parallelize([carry, square]), _split(n, d, keep_q=True))
     last = concat(carry, _split(n, d, keep_q=False))
-    chain = _sparse_chain([start] + [stage] * (l - 2) + [last])
-    if all(ck == 1.0 for ck in c):
-        return chain
-    layers = list(chain._layers)
-    h = both._layers[0][0] @ np.concatenate([np.zeros(n * d + d * d), vec(np.eye(d))])
-    for k, ck in enumerate(c[:-1]):  # layer 2k + 1 extends stage k, layer 2k + 2 joins
-        if ck != 1.0:
-            J, g, tag = layers[2 * k + 2]
-            bias = (2.0 - ck) * g + ((1.0 - ck) * h if k < l - 2 else 0.0)
-            bias.setflags(write=False)
-            layers[2 * k + 1], layers[2 * k + 2] = _scaled(layers[2 * k + 1], ck), (J, bias, tag)
-    if c[-1] != 1.0:
-        layers[-1] = _scaled(layers[-1], c[-1])
-    return Network._trusted(layers)
+    eye_q = np.concatenate([np.zeros(n * d), vec(np.eye(d))])  # I in the Q part of (W, Q)
+    junctions = [(ck, (1.0 - ck) * eye_q) for ck in c[:-1]] + [(c[-1], 0.0)]
+    return _sparse_chain([start] + [stage] * (l - 2) + [last], junctions)
 
 
 def inversion_network(d, epsilon, delta):

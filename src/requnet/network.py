@@ -125,14 +125,17 @@ class Network:
     @property
     def layers(self):
         """The ReQU layers (A_k, b_k), lifted from the store on each access and
-        not kept; a stored layer recurring after the same tag is lifted once."""
-        lifted, view, prev = {}, [], None
-        for layer in self._layers:
-            key = (id(layer), prev)  # the whole stored layer: A, its bias and tag
-            if key not in lifted:
-                lifted[key] = _lift(*layer[:2], layer[2] == "square", prev == "square")
-            view.append(lifted[key])
-            prev = layer[2]
+        not kept; a stored matrix recurring after the same tag is lifted once,
+        also under another bias, and a recurring stored layer is one pair."""
+        matrices, pairs, view, prev = {}, {}, [], None
+        for A, b, tag in self._layers:
+            lift = (tag == "square", prev == "square")
+            key = (id(A),) + lift
+            if (key, id(b)) not in pairs:
+                pair = (matrices[key], _lift_bias(b, lift[0])) if key in matrices else _lift(A, b, *lift)
+                pairs[key, id(b)], matrices[key] = pair, pair[0]
+            view.append(pairs[key, id(b)])
+            prev = tag
         return tuple(view)
 
     @property
@@ -221,10 +224,20 @@ def _evaluate(layers, X, chunk=None):
     return X
 
 
+def _lift_bias(b, odd_rows):
+    """b, or when odd_rows each entry followed by 0.0 minus it (-b would turn
+    +0 into -0), read-only."""
+    if not odd_rows:
+        return b
+    b = np.stack([b, 0.0 - b], axis=1).ravel()
+    b.setflags(write=False)
+    return b
+
+
 def _lift(A, b, odd_rows, odd_cols):
-    """The ReQU form of a stored layer: each row followed by 0.0 minus it
-    (-row would turn +0 into -0), then each column entry repeated at 2j and
-    2j + 1, as asked."""
+    """The ReQU form of a stored layer: each row followed by 0.0 minus it,
+    as its bias entry (_lift_bias), then each column entry repeated at 2j
+    and 2j + 1, as asked."""
     if not (odd_rows or odd_cols):
         return A, b
     data, indices, indptr = A.data, A.indices, A.indptr
@@ -235,12 +248,12 @@ def _lift(A, b, odd_rows, odd_cols):
         at = np.argsort(np.concatenate([row, row + 1]), kind="stable")
         data, indices = np.concatenate([data, 0.0 - data])[at], np.tile(indices, 2)[at]
         indptr = np.concatenate([indptr[:1], np.cumsum(np.repeat(counts, 2), dtype=indptr.dtype)])
-        b, rows = np.stack([b, 0.0 - b], axis=1).ravel(), 2 * rows
+        rows *= 2
     if odd_cols:
         data, indices, indptr = np.repeat(data, 2), np.repeat(2 * indices, 2), 2 * indptr
         indices[1::2] += 1
         cols *= 2
-    return _seal(sp.csr_matrix((data, indices, indptr), shape=(rows, cols)), b)
+    return _seal(sp.csr_matrix((data, indices, indptr), shape=(rows, cols)), _lift_bias(b, odd_rows))
 
 
 def complexity(net):

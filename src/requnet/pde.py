@@ -43,6 +43,7 @@ from .errors import (
     DimensionMismatch,
     EmptySnapshotSet,
     InvalidArgument,
+    NonFiniteEntry,
     SingularSystem,
 )
 from .matrixnets import _chebyshev_plan, _neumann_chain, vec
@@ -647,6 +648,8 @@ def evaluate_error(rb, net, test_params, G, mode, target_eps=None, outputs=None)
         raise DimensionMismatch(
             f"outputs have shape {outputs.shape}, expected {(expected_out, params.shape[0])}"
         )
+    if not np.isfinite(outputs).all():
+        raise NonFiniteEntry("outputs hold NaN or infinite entries")
 
     k = _MODES.index(mode)
     columns = _error_columns(rb, params, G, *((outputs, None) if k == 0 else (None, outputs)))

@@ -28,6 +28,7 @@ from requnet import (
     requ,
     sparse_concat,
 )
+from requnet.calculus import _sparse_chain
 
 rng = np.random.default_rng(2203)
 
@@ -370,6 +371,35 @@ def test_calculus_passes_operand_layers_on_unchanged():
     for net in (concat(affine_network(np.eye(2)), phi), extend(phi, 6)):
         assert all(a is b for a, b in zip(net._layers[:-1], phi._layers[:-1]))
     assert all(a is b for a, b in zip(sparse_concat(phi, psi)._layers[-3:], phi._layers[1:]))
+
+
+def test_sparse_chain_junctions_map_each_stage_output():
+    """Junction (c, t) maps the stage's output y to c y + t, also where that
+    stage ends in a nonzero bias, and plain junctions keep the sparse_concat
+    layers."""
+    inner, middle = random_net(in_dim=3, depth=2), random_net(in_dim=4, depth=3)
+    inner = concat(affine_network(rng.uniform(-0.5, 0.5, (4, inner.output_dim)), 0.3), inner)
+    outer = random_net(in_dim=4, depth=2)
+    stages = [inner, middle, middle, outer]
+    plain = _sparse_chain(stages)
+    want = sparse_concat(outer, sparse_concat(middle, sparse_concat(middle, inner)))
+    assert plain.depth == want.depth
+    for (A, b, tag), (R, c, rtag) in zip(plain._layers, want._layers):
+        assert tag == rtag and _same_arrays(b, c)
+        assert all(_same_arrays(x, y) for x, y in ((A.data, R.data), (A.indices, R.indices)))
+    unit = _sparse_chain(stages, [(1.0, np.zeros(4))] * 3 + [(1.0, 0.0)])
+    assert unit._layers[5] is unit._layers[2]  # the join into the repeated middle stage
+    assert unit._layers[-1] is outer._layers[-1]
+    out = rng.uniform(-1, 1, outer.output_dim)
+    junctions = [(1.5, rng.uniform(-1, 1, 4)), (1.0, np.array([0.0, 0.5, 0.0, -0.25])), (0.75, 0.0), (-2.0, out)]
+    net = _sparse_chain(stages, junctions)
+    assert net.depth == plain.depth and complexity(net).layer_nnz == complexity(plain).layer_nnz
+    assert net._layers[5][0] is net._layers[2][0]  # shifted joins keep the shared matrix
+    for x in rng.uniform(-1, 1, (10, 3)):
+        y = x
+        for stage, (c, t) in zip(stages, junctions):
+            y = c * realize(stage, y) + t
+        assert rel_err(realize(net, x), y) <= 1e-12
 
 
 def test_parallelize_matches_block_diag_reference():

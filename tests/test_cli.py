@@ -171,6 +171,17 @@ def test_invert_checks_the_matrix_file_before_building(tmp_path, monkeypatch, ca
     assert not (tmp_path / "o.json").exists()
 
 
+@pytest.mark.parametrize("dim", ["0", "-3"])
+def test_invert_checks_the_dimension_before_drawing_a_sample(tmp_path, dim):
+    # the sample's rescaling would divide by the zero norm of an empty matrix
+    proc = run_cli(
+        "invert", "--dim", dim, "--eps", "1e-2", "--delta", "0.5", "--out", str(tmp_path / "o.json")
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: need an integer d >= 1, got {dim}\n"
+    assert not (tmp_path / "o.json").exists()
+
+
 def test_invert_save_round_trip(tmp_path):
     saved = tmp_path / "net.json"
     proc = run_cli(

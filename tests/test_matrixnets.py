@@ -3,6 +3,7 @@ product gadget, multiplication/squaring/dyadic powers, the Neumann-series
 approximate inverse with its partial-sum length rule, and the Chebyshev
 doubling chain with its certified plan."""
 
+import ast
 import math
 from fractions import Fraction
 
@@ -768,18 +769,24 @@ def test_power_repeats_join_layers_as_one_object():
 
 def _chain_calls(monkeypatch, build, *args):
     """The stages build(*args) joins with _sparse_chain, and the extend and
-    concat calls that joining them again makes, as (name, id of the stage)."""
+    concat calls that joining them again, at the same junctions, makes, as
+    (name, id of the stage)."""
     chains = []
     chain = calculus._sparse_chain
-    monkeypatch.setattr(matrixnets, "_sparse_chain", lambda stages: chains.append(stages) or chain(stages))
+
+    def spy(stages, junctions=None):
+        chains.append((stages, junctions))
+        return chain(stages, junctions)
+
+    monkeypatch.setattr(matrixnets, "_sparse_chain", spy)
     build(*args)
-    (stages,) = chains
+    ((stages, junctions),) = chains
     calls = []
     for name in ("extend", "concat"):
         real = getattr(calculus, name)
         spy = lambda phi, other, real=real, name=name: calls.append((name, id(phi))) or real(phi, other)
         monkeypatch.setattr(calculus, name, spy)
-    chain(stages)
+    chain(stages, junctions)
     return stages, calls
 
 
@@ -789,16 +796,45 @@ def _assert_joined_once(stages, calls):
         assert sorted(i for n, i in calls if n == name) == sorted({id(s) for s in joined})
 
 
-@pytest.mark.parametrize("eps,delta,l", [(1e-2, 0.9, 2), (0.1, 0.5, 3), (1e-6, 0.2, 7)])
-def test_inversion_builds_each_part_once(monkeypatch, eps, delta, l):
-    assert neumann_length(eps, delta).l == l
+def test_matrixnets_reads_no_stored_layers():
+    """The chains are laid out by the calculus alone: matrixnets passes the
+    junction scalars to _sparse_chain and never edits a stored layer."""
+    tree = ast.parse(open(matrixnets.__file__, encoding="utf-8").read())
+    reads = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr == "_layers"]
+    assert reads == []
+
+
+def _parts_built(monkeypatch):
+    """The names of the product and duplicator networks built from now on."""
     built = []
     for name in ("mult_network", "_duplicator"):
         real = getattr(matrixnets, name)
         monkeypatch.setattr(matrixnets, name, lambda *a, real=real, name=name: built.append(name) or real(*a))
+    return built
+
+
+@pytest.mark.parametrize("eps,delta,l", [(1e-2, 0.9, 2), (0.1, 0.5, 3), (1e-6, 0.2, 7)])
+def test_inversion_builds_each_part_once(monkeypatch, eps, delta, l):
+    assert neumann_length(eps, delta).l == l
+    built = _parts_built(monkeypatch)
     stages, calls = _chain_calls(monkeypatch, inversion_network, 3, eps, delta)
     assert sorted(built) == ["_duplicator", "mult_network"]
     assert len(stages) == l and len({id(s) for s in stages}) == min(l, 3)
+    _assert_joined_once(stages, calls)
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_chebyshev_chain_builds_each_part_once(monkeypatch, n):
+    """Scaled junctions extend and fuse no more than unit ones: the Chebyshev
+    chain repeats one middle stage, and the row carry (n = 1) is the one
+    extra product network."""
+    c = _chebyshev_plan(1e-6, 0.2).c
+    assert len(set(c)) == len(c) == 5
+    built = _parts_built(monkeypatch)
+    X = np.random.default_rng(4108).standard_normal((n, 3))
+    stages, calls = _chain_calls(monkeypatch, matrixnets._neumann_chain, 3, c, X)
+    assert sorted(built) == ["_duplicator"] + ["mult_network"] * (1 + (n != 3))
+    assert len(stages) == 5 and len({id(s) for s in stages}) == 3
     _assert_joined_once(stages, calls)
 
 

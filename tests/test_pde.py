@@ -19,6 +19,7 @@ from requnet import (
     DimensionMismatch,
     EmptySnapshotSet,
     InvalidArgument,
+    NonFiniteEntry,
     Network,
     SingularSystem,
     affine_network,
@@ -730,6 +731,20 @@ def test_solution_network_shares_prefix(rb9):
     assert np.array_equal(h_head, realize_batch(h_net, Y, chunk=16))
 
 
+def test_rb_net_middle_joins_share_one_weight_matrix(rb9):
+    """rb_net's joins into the repeated Chebyshev stage hold one stored
+    matrix beside their own biases, and its lifted view lifts it once."""
+    C_f = 1.01 * np.linalg.norm(rb9.f_rb)
+    plan = series_plan(rb9, 1e-3, C_f)
+    assert plan.l == 5 and len(set(plan.c)) == 5
+    rb_net, _ = solution_network(rb9, 1e-3, C_f)
+    joins = [2 * k + 3 for k in range(plan.l - 2)]  # behind the contraction layer
+    assert len({id(rb_net._layers[k][0]) for k in joins}) == 1
+    assert len({rb_net._layers[k][1].tobytes() for k in joins}) == plan.l - 2
+    view = rb_net.layers
+    assert len({id(view[k][0]) for k in joins}) == 1
+
+
 def test_solution_network_meets_every_budget(rb9):
     rng = np.random.default_rng(111)
     ys = rng.uniform(0, 1, (10, 4))
@@ -876,6 +891,17 @@ def test_evaluate_error_validation(sys9, rb9):
     for net, mode in ((rb_net, "euclidean-rb"), (h_net, "g-norm-h"), (h_net, "relative-g")):
         with pytest.raises(InvalidArgument):
             evaluate_error(rb9, net, params, sys9.G, mode, outputs=np.zeros((net.output_dim, 2)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_evaluate_error_rejects_non_finite_outputs(sys9, rb9, bad):
+    params = np.random.default_rng(151).uniform(0, 1, (3, 4))
+    rb_net, h_net = solution_network(rb9, 0.5, 1.01 * np.linalg.norm(rb9.f_rb))
+    for net, mode in ((rb_net, "euclidean-rb"), (h_net, "g-norm-h"), (h_net, "relative-g")):
+        outputs = np.zeros((net.output_dim, 3))
+        outputs[-1, 1] = bad
+        with pytest.raises(NonFiniteEntry):
+            evaluate_error(rb9, net, params, sys9.G, mode, outputs=outputs)
 
 
 def test_evaluate_error_g_norms_match_cholesky_oracle(sys9, rb9):
