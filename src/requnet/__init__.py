@@ -47,8 +47,7 @@ from .calculus import (
     sparse_concat,
 )
 from .matrixnets import (
-    ChebyshevPlan,
-    NeumannPlan,
+    DoublingPlan,
     inversion_network,
     matr,
     mult_network,

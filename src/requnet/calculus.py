@@ -25,7 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DimensionMismatch, EmptyList, InvalidArgument
-from .network import Network, _is_size, _lift, _seal
+from .network import Network, _is_size, _lift, _seal, _seal_bias
 
 __all__ = [
     "OMEGA1",
@@ -132,7 +132,7 @@ def _sparse_chain(stages, junctions=None):
         if c != 1.0 or np.any(t):
             (J, _, tag), (A1, b1, _) = join, outer._layers[0]
             shift = t + (c - 1.0) * inner._layers[-1][1]
-            gadget, join = _times(gadget, c, gadget[1]), _seal(J, A1 @ shift + b1) + (tag,)
+            gadget, join = _times(gadget, c, gadget[1]), (J, _seal_bias(A1 @ shift + b1), tag)
         layers += (gadget, join) + outer._layers[1:-1]
     (c, t), last = junctions[-1], stages[-1]._layers[-1]
     if c != 1.0 or np.any(t):

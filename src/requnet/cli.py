@@ -320,6 +320,14 @@ _SUITES = ("calculus", "matrix", "inversion", "all")
 # --------------------------------------------------------------------------
 
 
+def _plan(dims, eps, delta):
+    """The Neumann plan at (eps, delta), once every d in dims is checked:
+    a command rejects its arguments before it runs, draws or builds."""
+    if min(dims) < 1:  # before a sample, which would divide by its zero norm
+        raise InvalidArgument(f"need an integer d >= 1, got {min(dims)!r}")
+    return neumann_length(eps, delta)
+
+
 def _write_json(path, doc):
     text = json.dumps(doc, indent=2) + "\n"
     if path is None:
@@ -331,6 +339,8 @@ def _write_json(path, doc):
 
 def cmd_verify(args):
     scale = 10 if args.quick else 1
+    if args.suite in ("inversion", "all"):
+        _plan([args.dim], args.eps, args.delta)
     checks = []
     if args.suite in ("calculus", "all"):
         checks += run_calculus_suite(args.seed, instances=200 // scale)
@@ -350,9 +360,7 @@ def cmd_verify(args):
 
 
 def cmd_invert(args):
-    if args.dim < 1:  # before the sample, which would divide by its zero norm
-        raise InvalidArgument(f"need an integer d >= 1, got {args.dim!r}")
-    plan = neumann_length(args.eps, args.delta)
+    plan = _plan([args.dim], args.eps, args.delta)
     if args.matrix is not None:
         with open(args.matrix, "r", encoding="utf-8") as fh:
             A = np.asarray(json.load(fh))
@@ -391,9 +399,9 @@ def cmd_invert(args):
 
 def cmd_complexity(args):
     rows, nnz = [], {}  # the network depends on eps and delta only through l
+    plans = [_plan(args.dims, eps, args.delta) for eps in args.eps]
     for d in args.dims:
-        for eps in args.eps:
-            plan = neumann_length(eps, args.delta)
+        for eps, plan in zip(args.eps, plans):
             if (d, plan.l) not in nnz:
                 nnz[d, plan.l] = complexity(inversion_network(d, eps, args.delta)).total_nnz
             bound = _inversion_nnz_bound(d, plan.l)

@@ -9,8 +9,8 @@ dyadic powers A^(2^j), and the partial sums
     sum_{k=0}^{2^l - 1} A^k  =  prod_{i=0}^{l-1} (A^(2^i) + I)
 
 follow by composition.  For ||A||_2 <= 1 - delta the partial sum is within
-(1-delta)^(2^l)/delta of (I - A)^{-1}, which the length rule neumann_length
-drives below a requested epsilon.
+(1-delta)^(2^l)/delta of (I - A)^{-1}; neumann_length picks the smallest l
+whose bound, certified in exact arithmetic, is at most a requested epsilon.
 
 One chain evaluates X times such a product for a constant n x d X: it
 carries (W_k, Q_k) through l stages, each a product beside a squaring, so
@@ -21,7 +21,7 @@ the count is linear in l.  With stage scalars c_k it is the doubling
 and I - Q_{k+1} = c_k (I - Q_k^2) gives W_l = X (I - Q_l)(I - A)^{-1}.
 All c_k = 1 is the Neumann product (Q_k = A^(2^k)): the inversion network
 takes it at X = I, (96l - 120)d^3 + O(l d^2) nonzeros at depth 2l + 1.
-For a symmetric A the scalars of _chebyshev_plan make Q_l a scaled
+For a symmetric A the scalars of _doubling_plan make Q_l a scaled
 Chebyshev polynomial of degree 2^l (Golub & Varga 1961), which needs
 l ~ log2(log(1/epsilon)/sqrt(delta)) stages instead of
 log2(log(1/epsilon)/delta); the pde solution map runs it at a row X,
@@ -57,8 +57,7 @@ __all__ = [
     "mult_network",
     "square_network",
     "power_network",
-    "NeumannPlan",
-    "ChebyshevPlan",
+    "DoublingPlan",
     "neumann_length",
     "inversion_network",
     "neumann_partial_sum_oracle",
@@ -144,21 +143,10 @@ def power_network(d, j):
 
 
 @dataclass(frozen=True)
-class NeumannPlan:
-    """Partial-sum length for the Neumann inverse: the smallest dyadic
-    l with (1-delta)^(2^l)/delta <= epsilon, via the closed form
-    l = ceil(log2(log_{1-delta}(delta*epsilon) + 1))."""
-
-    epsilon: float
-    delta: float
-    l: int
-
-
-@dataclass(frozen=True)
-class ChebyshevPlan:
-    """Stage scalars of the doubling chain for a symmetric A with spectrum
-    in [-(1-delta), 1-delta]: c holds the stored c_k, k < l, and bound a
-    certified r_l >= ||Q_l||_2, with bound/delta <= epsilon."""
+class DoublingPlan:
+    """A certified doubling chain at tolerance epsilon and margin delta: c
+    holds the stored stage scalars c_k, k < l, and bound a certified
+    r_l >= ||Q_l||_2, with bound/delta <= epsilon."""
 
     epsilon: float
     delta: float
@@ -167,22 +155,10 @@ class ChebyshevPlan:
     bound: float
 
 
-def _check_plan_args(epsilon, delta):
-    """The domain both length rules share."""
-    if not (0.0 < epsilon < 1.0):
-        raise InvalidArgument(f"epsilon must be in (0,1), got {epsilon}")
-    if not (0.0 < delta < 1.0):
-        raise InvalidArgument(f"delta must be in (0,1), got {delta}")
-    if 1.0 - delta == 1.0 or delta * epsilon == 0.0:  # no margin or no tolerance left
-        raise InvalidArgument(f"delta {delta!r} is too small for double precision")
-
-
 def neumann_length(epsilon, delta):
-    """Closed-form partial-sum length; epsilon, delta must lie in (0, 1)."""
-    _check_plan_args(epsilon, delta)
-    terms = math.log(delta * epsilon) / math.log(1.0 - delta)
-    l = math.ceil(math.log2(terms + 1.0))
-    return NeumannPlan(epsilon=float(epsilon), delta=float(delta), l=int(l))
+    """The Neumann product's plan, for any A with ||A||_2 <= 1 - delta:
+    _doubling_plan with all c_k = 1, so r_l >= (1-delta)^(2^l)."""
+    return _doubling_plan(epsilon, delta, False)
 
 
 def _round_up(num, den):
@@ -195,25 +171,32 @@ def _round_up(num, den):
 def _next_bound(c, r):
     """max(c - 1, c r^2 - (c - 1)), rounded up: a bound on ||c Q^2 - (c-1) I||_2
     for a symmetric Q with ||Q||_2 <= r and c >= 1, as c Q^2 - (c-1) I has its
-    spectrum in [-(c - 1), c r^2 - (c - 1)].  Evaluated exactly in integers."""
+    spectrum in [-(c - 1), c r^2 - (c - 1)]; at c = 1, r^2 bounds ||Q^2||_2
+    for any Q by submultiplicativity.  Evaluated exactly in integers."""
     (cn, cd), (rn, rd) = c.as_integer_ratio(), r.as_integer_ratio()
     low = (cn - cd) * rd * rd  # c - 1 over the denominator cd rd^2
     return _round_up(max(low, cn * rn * rn - low), cd * rd * rd)
 
 
-def _chebyshev_plan(epsilon, delta):
-    """The shortest doubling chain certified to epsilon at margin delta.
+def _doubling_plan(epsilon, delta, symmetric):
+    """The shortest doubling chain certified to epsilon at margin delta,
+    both in (0, 1).
 
-    From r_0 = 1 - delta, rounded up, stage k stores c_k = 2/(2 - r_k^2)
-    in [1, 2] and r_{k+1} = _next_bound(c_k, r_k), computed for the stored
-    float c_k, so the certificate covers the weights the network holds; in
-    exact arithmetic r_l = 1/T_{2^l}(1/(1 - delta)).  The output's error
-    (I - A)^{-1} Q_l is then at most r_l/delta, and l is the smallest with
-    r_l/delta <= epsilon.  At l = 1 the chain is its affine first layer,
-    with no dyadic weight to carry c_0 exactly, so that plan stores
-    c_0 = 1: the Neumann factor, r_1 = r_0^2.
+    From r_0 = 1 - delta, rounded up, stage k stores c_k: 1, or for a
+    symmetric A 2/(2 - r_k^2) in [1, 2], where in exact arithmetic
+    r_l = 1/T_{2^l}(1/(1 - delta)).  r_{k+1} = _next_bound(c_k, r_k) is
+    computed for the stored float c_k, so the certificate covers the
+    weights the network holds.  The error (I - A)^{-1} Q_l is at most
+    r_l/delta, and l is the smallest with r_l/delta <= epsilon.  At l = 1
+    the chain is its affine first layer, with no dyadic weight to carry
+    c_0 exactly, so that plan stores c_0 = 1.
     """
-    _check_plan_args(epsilon, delta)
+    if not (0.0 < epsilon < 1.0):
+        raise InvalidArgument(f"epsilon must be in (0,1), got {epsilon}")
+    if not (0.0 < delta < 1.0):
+        raise InvalidArgument(f"delta must be in (0,1), got {delta}")
+    if 1.0 - delta == 1.0 or delta * epsilon == 0.0:  # no margin or no tolerance left
+        raise InvalidArgument(f"delta {delta!r} is too small for double precision")
     epsilon, delta = float(epsilon), float(delta)
     (en, ed), (dn, dd) = epsilon.as_integer_ratio(), delta.as_integer_ratio()
 
@@ -223,16 +206,16 @@ def _chebyshev_plan(epsilon, delta):
 
     r = _round_up(dd - dn, dd)
     if certified(_next_bound(1.0, r)):
-        return ChebyshevPlan(epsilon, delta, 1, (1.0,), _next_bound(1.0, r))
+        return DoublingPlan(epsilon, delta, 1, (1.0,), _next_bound(1.0, r))
     c = []
     while len(c) < 2 or not certified(r):
-        c.append(2.0 / (2.0 - r * r))
+        c.append(2.0 / (2.0 - r * r) if symmetric else 1.0)
         r, prev = _next_bound(c[-1], r), r
         if r >= prev:  # rounding stalls the bound above epsilon * delta
             raise InvalidArgument(
                 f"epsilon {epsilon!r} at delta {delta!r} is too small for double precision"
             )
-    return ChebyshevPlan(epsilon, delta, len(c), tuple(c), r)
+    return DoublingPlan(epsilon, delta, len(c), tuple(c), r)
 
 
 def _inversion_nnz_exact(d, l):
@@ -313,8 +296,8 @@ def inversion_network(d, epsilon, delta):
     """Network mapping vec A -> approximately vec((I - A)^{-1}).
 
     Computes the exact partial sum sum_{k < 2^l} A^k in factored form
-    prod_i (A^(2^i) + I), with l = neumann_length(epsilon, delta).l, so for
-    every A with ||A||_2 <= 1 - delta the spectral-norm error is at most
+    prod_i (A^(2^i) + I), with l the least that neumann_length certifies, so
+    for every A with ||A||_2 <= 1 - delta the spectral-norm error is at most
     (1-delta)^(2^l)/delta <= epsilon.  The chain at X = I and all c_k = 1,
     padded to depth exactly 2l + 1; nonzeros, exactly (_inversion_nnz_exact):
     (96l - 120)d^3 + (12l + 20)d^2 + (40 - 24l)d for l >= 2, 32d^2 - 2d
@@ -322,8 +305,8 @@ def inversion_network(d, epsilon, delta):
     """
     if not _is_size(d):
         raise InvalidArgument(f"need an integer d >= 1, got {d!r}")
-    l = neumann_length(epsilon, delta).l
-    return extend(_neumann_chain(d, (1.0,) * l, np.eye(d)), 2 * l + 1)
+    plan = neumann_length(epsilon, delta)
+    return extend(_neumann_chain(d, plan.c, np.eye(d)), 2 * plan.l + 1)
 
 
 def neumann_partial_sum_oracle(A, l):

@@ -71,11 +71,19 @@ def _seal(A, b):
         raise DimensionMismatch(f"bias length {b.shape} does not match {rows} rows")
     if rows < 1 or cols < 1:
         raise DimensionMismatch("zero-dimensional layer rejected")
-    if not np.isfinite(A.data).all() or not np.isfinite(b).all():
+    if not np.isfinite(A.data).all():
         raise NonFiniteEntry("layer contains NaN or infinite entries")
-    for a in (A.data, A.indices, A.indptr, b):
+    for a in (A.data, A.indices, A.indptr):
         a.setflags(write=False)
-    return A, b
+    return A, _seal_bias(b)
+
+
+def _seal_bias(b):
+    """Check and freeze in place a float64 bias vector nobody else holds."""
+    if not np.isfinite(b).all():
+        raise NonFiniteEntry("layer contains NaN or infinite entries")
+    b.setflags(write=False)
+    return b
 
 
 class Network:

@@ -46,7 +46,7 @@ from .errors import (
     NonFiniteEntry,
     SingularSystem,
 )
-from .matrixnets import _chebyshev_plan, _neumann_chain, vec
+from .matrixnets import _doubling_plan, _neumann_chain, vec
 from .network import _evaluate, _is_size, _network_doc, _network_from_doc, _read_doc, realize_batch
 
 __all__ = [
@@ -541,7 +541,7 @@ _ROUNDING_SHARE = 0.1
 
 def series_plan(rb, epsilon, C_f):
     """The doubling plan solution_network(rb, epsilon, C_f) compiles: a
-    matrixnets.ChebyshevPlan with the length l, the stage scalars c and
+    matrixnets.DoublingPlan with the length l, the stage scalars c and
     the certified bound r_l >= ||Q_l||_2.
 
     The output B_y^-1 (I - Q_l) f_rb misses B_y^-1 f_rb by at most
@@ -557,7 +557,7 @@ def series_plan(rb, epsilon, C_f):
             f"C_f must be positive and at least |f_rb| = {f_norm:.6g}, got {C_f}"
         )
     tol = min((1.0 - _ROUNDING_SHARE) * epsilon / C_f / rb.lam, 0.9)
-    return _chebyshev_plan(tol, rb.delta)
+    return _doubling_plan(tol, rb.delta, True)
 
 
 def solution_network(rb, epsilon, C_f):

@@ -28,6 +28,7 @@ from requnet import (
     requ,
     sparse_concat,
 )
+from requnet import calculus
 from requnet.calculus import _sparse_chain
 
 rng = np.random.default_rng(2203)
@@ -400,6 +401,27 @@ def test_sparse_chain_junctions_map_each_stage_output():
         for stage, (c, t) in zip(stages, junctions):
             y = c * realize(stage, y) + t
         assert rel_err(realize(net, x), y) <= 1e-12
+
+
+def test_sparse_chain_checks_only_the_new_join_biases(monkeypatch):
+    """A shifted junction keeps the join's matrix, checked once where the
+    join was fused, and checks the bias it forms: a non-finite one raises."""
+    sealed, seal = [], calculus._seal
+    monkeypatch.setattr(calculus, "_seal", lambda A, b: sealed.append(A) or seal(A, b))
+    inner, middle = (
+        concat(affine_network(rng.uniform(-0.5, 0.5, (4, n.output_dim)), 0.3), n)
+        for n in (random_net(in_dim=3, depth=2), random_net(in_dim=4, depth=3))
+    )
+    stages = [inner, middle, middle, random_net(in_dim=4, depth=2)]
+    shift = np.full(4, 0.5)
+    junctions = [(1.5, rng.uniform(-1, 1, 4)), (0.75, shift), (1.25, 0.0), (1.0, 0.0)]
+    net = _sparse_chain(stages, junctions)
+    joins = {id(layer[0]): layer[0] for layer in (net._layers[2], net._layers[5], net._layers[8])}
+    assert len(joins) == 2  # the two middle joins share one matrix
+    assert all(sum(A is J for A in sealed) == 1 for J in joins.values())
+    shift[0] = np.inf
+    with pytest.raises(NonFiniteEntry):
+        _sparse_chain(stages, junctions)
 
 
 def test_parallelize_matches_block_diag_reference():

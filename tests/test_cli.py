@@ -88,6 +88,26 @@ def test_verify_all_writes_file(tmp_path):
     assert all(c["pass"] for c in doc["checks"])
 
 
+@pytest.mark.parametrize("suite", ["inversion", "all"])
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (["--eps", "2"], "epsilon must be in (0,1)"),
+        (["--delta", "1e-17"], "too small for double precision"),
+        (["--dim", "0"], "need an integer d >= 1, got 0"),
+    ],
+)
+def test_verify_checks_the_inversion_arguments_before_any_suite(
+    tmp_path, monkeypatch, capsys, suite, bad, message
+):
+    for name in ("run_calculus_suite", "run_matrix_suite", "run_inversion_suite"):
+        monkeypatch.setattr(cli, name, lambda *a, name=name, **k: pytest.fail(f"{name} ran"))
+    out = tmp_path / "report.json"
+    assert main(["verify", "--suite", suite, "--seed", "5", "--out", str(out)] + bad) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_rejects_unknown_suite():
     proc = run_cli("verify", "--suite", "bogus", "--seed", "7")
     assert proc.returncode == 2
@@ -253,11 +273,19 @@ def test_complexity_builds_one_network_per_dimension_and_length(tmp_path, monkey
 
 @pytest.mark.parametrize("command", [["invert", "--dim", "2"], ["complexity", "--dims", "2"]])
 def test_delta_too_small_for_double_precision_exits_2(tmp_path, capsys, command):
-    # 1 - 1e-17 rounds to 1, so the length rule would divide by log(1) = 0
+    # 1 - 1e-17 rounds to 1, which leaves no margin to plan with
     args = command + ["--eps", "1e-3", "--delta", "1e-17", "--out", str(tmp_path / "o")]
     assert main(args) == 2
     assert "too small for double precision" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("dims, eps", [("16,0", "1e-2"), ("4,8", "1e-2,2"), ("4,8", "1e-2,1e-340")])
+def test_complexity_checks_every_row_before_any_build(tmp_path, monkeypatch, dims, eps):
+    monkeypatch.setattr(cli, "inversion_network", lambda *a: pytest.fail("network was built"))
+    out = tmp_path / "t.csv"
+    assert main(["complexity", "--dims", dims, "--eps", eps, "--delta", "0.2", "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_complexity_rejects_bad_dims(tmp_path):

@@ -4,6 +4,7 @@ approximate inverse with its partial-sum length rule, and the Chebyshev
 doubling chain with its certified plan."""
 
 import ast
+import functools
 import math
 from fractions import Fraction
 
@@ -38,7 +39,7 @@ from requnet import (
     vec,
 )
 from requnet import calculus, matrixnets
-from requnet.matrixnets import _chebyshev_plan, _inversion_nnz_exact
+from requnet.matrixnets import _doubling_plan, _inversion_nnz_exact
 
 rng = np.random.default_rng(4101)
 
@@ -242,24 +243,24 @@ def test_power_rejects_bad_args():
 
 
 def test_neumann_length_examples():
-    assert neumann_length(0.01, 0.5).l == 4
-    assert neumann_length(0.5, 0.5).l == 2
+    # 0.5^8/0.5 <= 0.01 < 0.5^4/0.5 and 0.5^2/0.5 <= 0.5, exactly
+    assert neumann_length(0.01, 0.5).l == 3
+    assert neumann_length(0.5, 0.5).l == 1
 
 
 def test_neumann_length_domain():
     # the Chebyshev plan shares the domain
     for eps, delta in [(0.0, 0.5), (1.0, 0.5), (0.5, 0.0), (0.5, 1.0), (-0.1, 0.5), (0.5, 1.5), (np.nan, 0.5)]:
-        for plan in (neumann_length, _chebyshev_plan):
+        for plan in (neumann_length, functools.partial(_doubling_plan, symmetric=True)):
             with pytest.raises(InvalidArgument):
                 plan(eps, delta)
 
 
-@pytest.mark.parametrize("eps, delta", [(1e-3, 1e-17), (0.5, 1e-300), (5e-324, 0.4)])
+@pytest.mark.parametrize("eps, delta", [(1e-3, 1e-17), (0.5, 1e-300), (5e-324, 0.4), (1e-3, 8e-17)])
 def test_neumann_length_rejects_what_double_precision_cannot_plan(eps, delta):
-    # 1 - delta rounds to 1, or delta * eps underflows to 0: the closed form
-    # would divide by log(1) = 0 or take log(0), the Chebyshev bound start at 1
-    # or never reach the tolerance
-    for plan in (neumann_length, _chebyshev_plan):
+    # 1 - delta rounds to 1, or delta * eps underflows to 0; 1 - 8e-17 rounds
+    # to nearest below 1 but up to 1, where the bound stalls
+    for plan in (neumann_length, functools.partial(_doubling_plan, symmetric=True)):
         with pytest.raises(InvalidArgument):
             plan(eps, delta)
 
@@ -272,6 +273,76 @@ def test_neumann_length_tail_invariant_grid():
             plan = neumann_length(eps, delta)
             assert plan.l >= 1
             assert (1.0 - delta) ** (2**plan.l) / delta <= eps * (1 + 1e-12)
+
+
+def _up(x):
+    """The least double >= the rational x."""
+    y = float(x)  # correctly rounded
+    return y if Fraction(y) >= x else math.nextafter(y, math.inf)
+
+
+def _assert_minimal_neumann_plan(eps, delta):
+    """The plan's bound is r_l of r_0 = 1 - delta, r_{k+1} = r_k^2, each
+    rounded up to a double: at most eps*delta and at least the exact
+    (1 - delta)^(2^l), while r_{l-1} misses eps*delta.  The power is
+    formed outright up to l = 12 (2^12 factors); beyond, each step is
+    checked to cover the square of the last."""
+    plan, target = neumann_length(eps, delta), Fraction(eps) * Fraction(delta)
+    assert plan.c == (1.0,) * plan.l
+    r = [_up(1 - Fraction(delta))]
+    for _ in range(plan.l):
+        r.append(_up(Fraction(r[-1]) ** 2))
+    assert plan.bound == r[-1] and Fraction(plan.bound) <= target
+    if plan.l <= 12:
+        assert Fraction(plan.bound) >= (1 - Fraction(delta)) ** (2**plan.l)
+    assert Fraction(r[0]) >= 1 - Fraction(delta)
+    assert all(Fraction(b) >= Fraction(a) ** 2 for a, b in zip(r, r[1:]))
+    if plan.l >= 2:
+        assert Fraction(r[-2]) > target
+
+
+def test_neumann_length_is_minimal_and_certified_on_a_grid():
+    for eps in np.logspace(-12, -0.01, 25):
+        for delta in np.linspace(0.001, 0.99, 25):
+            _assert_minimal_neumann_plan(float(eps), float(delta))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.floats(1e-300, 1.0, exclude_max=True), st.floats(1e-6, 1.0, exclude_min=True, exclude_max=True))
+def test_neumann_length_is_minimal_and_certified(eps, delta):
+    _assert_minimal_neumann_plan(eps, delta)
+
+
+def test_neumann_length_rejects_a_bound_that_stalls():
+    # eps * delta lies below the least subnormal, where r_l, rounded up, stops;
+    # 1 - 2e-16 rounds up to 1 - 2^-53, whose square rounds up to itself, while
+    # the symmetric plan's c_0 < 2 still shrinks it
+    for eps, delta in [(1e-323, 0.3), (1e-3, 2e-16)]:
+        with pytest.raises(InvalidArgument, match="epsilon"):
+            neumann_length(eps, delta)
+    assert _doubling_plan(1e-3, 2e-16, True).l > 1
+
+
+def test_inversion_network_plans_through_neumann_length_once(monkeypatch):
+    """One plan per build, through the module-level name profilers wrap."""
+    plans = []
+    real = matrixnets.neumann_length
+    monkeypatch.setattr(matrixnets, "neumann_length", lambda *a: plans.append(real(*a)) or plans[-1])
+    net = inversion_network(3, 1e-3, 0.2)
+    assert [(p.epsilon, p.delta, p.l) for p in plans] == [(1e-3, 0.2, 6)]
+    assert net.depth == 2 * plans[0].l + 1
+
+
+def test_matrixnets_takes_no_float_logarithm():
+    """Lengths are certified in exact arithmetic, never by a float closed form."""
+    tree = ast.parse(open(matrixnets.__file__, encoding="utf-8").read())
+    logs = {"log", "log2", "log1p", "log10"}
+    calls = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", getattr(node.func, "id", None)) in logs
+    ]
+    assert calls == []
 
 
 def test_neumann_length_monotone_in_epsilon():
@@ -392,9 +463,11 @@ def test_inversion_weight_polynomial():
 
 
 def test_inversion_weight_exact_linear_in_l():
-    # at delta = 1/2 and eps = 2^(2 - 3 * 2^(l-2)), log2(1/(delta*eps)) + 1
-    # = 3 * 2^(l-2) lies in (2^(l-1), 2^l], so the length rule selects l
-    cases = [(1, 0.5, 0.9)] + [(l, 2.0 ** (2 - 3 * 2 ** (l - 2)), 0.5) for l in range(2, 10)]
+    # at delta = 1/2 the tail 2^-(2^l) meets delta*eps = 2^-(3 * 2^(l-2) - 1)
+    # at eps = 2^(2 - 3 * 2^(l-2)), l >= 3, which 2^-(2^(l-1)) misses; at
+    # l = 2, eps = 1/4 is met by 2^-4 and missed by 2^-2
+    cases = [(1, 0.5, 0.9), (2, 0.25, 0.5)]
+    cases += [(l, 2.0 ** (2 - 3 * 2 ** (l - 2)), 0.5) for l in range(3, 10)]
     for l, eps, delta in cases:
         assert neumann_length(eps, delta).l == l
         for d in range(1, 7):
@@ -450,7 +523,7 @@ def test_chebyshev_chain_matches_the_doubling_recursion(n):
         assert net.depth == 2 * len(c)
         got = matr(realize(net, vec(A)), n, d)
         np.testing.assert_allclose(got, _doubling(X, A, c), rtol=1e-12, atol=1e-13)
-    plan = _chebyshev_plan(1e-6, 0.2)
+    plan = _doubling_plan(1e-6, 0.2, True)
     got = matr(realize(matrixnets._neumann_chain(d, plan.c, X), vec(A)), n, d)
     exact = X @ np.linalg.inv(np.eye(d) - A)
     assert np.linalg.norm(got - exact, 2) <= plan.bound / 0.2 * np.linalg.norm(X, 2) * (1 + 1e-9)
@@ -484,7 +557,7 @@ def test_one_stage_chain_takes_no_scalar():
         matrixnets._neumann_chain(2, (1.5,), np.ones((1, 2)))
 
 
-# ------------------------------------------------------------ _chebyshev_plan
+# ------------------------------------------------ _doubling_plan, symmetric
 
 
 def _chebyshev_value(c, x):
@@ -517,7 +590,7 @@ def test_chebyshev_bound_covers_every_symmetric_contraction(delta, eps, d, inter
     and in exact arithmetic |q_l| <= r_l there; the numpy Q_l meets the
     bound up to its own rounding.  The plan's l is never above the Neumann
     length, and r_l/delta <= eps."""
-    plan = _chebyshev_plan(eps, delta)
+    plan = _doubling_plan(eps, delta, True)
     assert plan.l == len(plan.c) and plan.l <= neumann_length(eps, delta).l
     assert Fraction(plan.bound) <= Fraction(eps) * Fraction(delta)
     rho = 1.0 - delta  # exact here, or rounded to nearest
@@ -538,7 +611,7 @@ def test_chebyshev_bound_covers_every_symmetric_contraction(delta, eps, d, inter
 def test_chebyshev_plan_is_no_longer_than_neumann_on_a_grid():
     for eps in (0.5, 1e-1, 1e-3, 1e-6, 1e-10):
         for delta in (0.9, 0.5, 0.2, 1e-2, 1e-4):
-            plan, l = _chebyshev_plan(eps, delta), neumann_length(eps, delta).l
+            plan, l = _doubling_plan(eps, delta, True), neumann_length(eps, delta).l
             assert plan.l <= l
             assert Fraction(plan.bound) <= Fraction(eps) * Fraction(delta)
             if plan.l >= 3:  # the shorter chain misses at the endpoint 1 - delta
@@ -546,7 +619,7 @@ def test_chebyshev_plan_is_no_longer_than_neumann_on_a_grid():
                 assert not _below(shorter, Fraction(eps) * Fraction(delta))
     # the README pde size needs r_l <= 2.1e-5 at delta = 1/6: r_4 = 9.5e-5
     # misses, r_5 = 4.5e-9 meets it, where the Neumann tail needs l = 6
-    plan = _chebyshev_plan(2.1e-5 * 6, 1 / 6)
+    plan = _doubling_plan(2.1e-5 * 6, 1 / 6, True)
     assert (plan.l, neumann_length(2.1e-5 * 6, 1 / 6).l) == (5, 6)
     r4 = _chebyshev_value(plan.c[:4], 5 / 6)
     assert 9e-5 < r4[0] / r4[1] < 1e-4 and 4e-9 < plan.bound < 5e-9
@@ -558,14 +631,14 @@ def test_chebyshev_plan_scalars_and_bounds():
     from r_0 = 1 - delta with the stored c_k, and is that value rounded up
     at each step; at l = 1 the plan stores c_0 = 1 and r_1 = r_0^2."""
     for eps, delta in [(1e-6, 0.2), (1e-3, 1 / 6), (1e-9, 0.01)]:
-        plan = _chebyshev_plan(eps, delta)
+        plan = _doubling_plan(eps, delta, True)
         r = 1 - Fraction(delta)
         for ck in plan.c:
             assert 1.0 <= ck <= 2.0
             assert Fraction(2.0 - ck) == 2 - Fraction(ck) and Fraction(1.0 - ck) == 1 - Fraction(ck)
             r = max(Fraction(ck) - 1, Fraction(ck) * r * r - (Fraction(ck) - 1))
         assert r <= Fraction(plan.bound) <= r * (1 + Fraction(1, 10**12))
-    one = _chebyshev_plan(0.5, 0.9)
+    one = _doubling_plan(0.5, 0.9, True)
     assert (one.l, one.c) == (1, (1.0,))
     assert Fraction(one.bound) >= (1 - Fraction(0.9)) ** 2
 
@@ -573,15 +646,15 @@ def test_chebyshev_plan_scalars_and_bounds():
 def test_chebyshev_plan_rejects_a_bound_that_stalls():
     # eps * delta lies below the least subnormal, where r_l, rounded up, stops
     with pytest.raises(InvalidArgument, match="epsilon"):
-        _chebyshev_plan(1e-323, 0.3)
-    assert _chebyshev_plan(2e-323, 0.3).l == 10
+        _doubling_plan(1e-323, 0.3, True)
+    assert _doubling_plan(2e-323, 0.3, True).l == 10
 
 
 def test_chebyshev_identity_in_exact_arithmetic():
     """At d = 2, in rationals: I - Q_l = (I - R) prod_k c_k (I + Q_k) with
     the stored c_k, and the network's weights, evaluated exactly, give
     X prod_k c_k (Q_k + I)."""
-    plan = _chebyshev_plan(1e-4, 0.3)
+    plan = _doubling_plan(1e-4, 0.3, True)
     c = [Fraction(ck) for ck in plan.c]
     R = [[Fraction(1, 2), Fraction(-1, 5)], [Fraction(-1, 5), Fraction(-3, 10)]]
 
@@ -662,7 +735,7 @@ def test_sizes_accept_numpy_integers():
     assert identity_network(two, np.int32(3)).depth == 3
     assert mult_network(two, np.int64(1), two).output_dim == 4
     assert power_network(two, np.uint8(1)).depth == 2
-    assert inversion_network(two, 0.5, 0.5).depth == 5
+    assert inversion_network(two, 0.5, 0.5).depth == 3
     assert extend(affine_network(np.eye(2)), np.int64(4)).depth == 4
     assert neumann_partial_sum_oracle(np.eye(2), two).tolist() == (4 * np.eye(2)).tolist()
 
@@ -828,7 +901,7 @@ def test_chebyshev_chain_builds_each_part_once(monkeypatch, n):
     """Scaled junctions extend and fuse no more than unit ones: the Chebyshev
     chain repeats one middle stage, and the row carry (n = 1) is the one
     extra product network."""
-    c = _chebyshev_plan(1e-6, 0.2).c
+    c = _doubling_plan(1e-6, 0.2, True).c
     assert len(set(c)) == len(c) == 5
     built = _parts_built(monkeypatch)
     X = np.random.default_rng(4108).standard_normal((n, 3))

@@ -46,7 +46,7 @@ from requnet import (
     write_error_csv,
 )
 from requnet import pde
-from requnet.matrixnets import _chebyshev_plan
+from requnet.matrixnets import _doubling_plan
 from requnet.pde import _g_norm, _g_norms
 
 
@@ -617,7 +617,7 @@ def test_contraction_network_matches_and_contracts(rb9):
 
 def _series_plan(rb, eps, C_f):
     """The doubling plan solution_network compiles at (eps, C_f)."""
-    return _chebyshev_plan(min(0.9 * eps / C_f / rb.lam, 0.9), rb.delta)
+    return _doubling_plan(min(0.9 * eps / C_f / rb.lam, 0.9), rb.delta, True)
 
 
 def _chebyshev_iteration(lam, f, R, c):
@@ -711,7 +711,7 @@ def test_solution_network_depth_relation(rb9):
     eps = 1e-3
     C_f = 1.01 * np.linalg.norm(rb9.f_rb)
     rb_net, h_net = solution_network(rb9, eps, C_f)
-    l = _chebyshev_plan(min(0.9 * eps / C_f / rb9.lam, 0.9), rb9.delta).l
+    l = _doubling_plan(min(0.9 * eps / C_f / rb9.lam, 0.9), rb9.delta, True).l
     assert complexity(rb_net).depth == 2 * l + 1
     assert complexity(h_net).depth == 2 * l + 2
 
